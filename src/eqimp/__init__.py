@@ -9,162 +9,17 @@ the results under implication transitivity, and reports summary tables and
 runtime histograms.
 """
 
-from .budget import UNLIMITED, Budget, BudgetMeter
-from .closure import (
-    PROVEN,
-    REFUTED,
-    ConsistencyError,
-    StatusEntry,
-    derived_count,
-    propagate,
-)
-from .models import (
-    EXHAUSTED,
-    FOUND,
-    OUT_OF_BUDGET,
-    Countermodel,
-    MagmaTable,
-    SearchOutcome,
-    count_models,
-    eval_term,
-    find_countermodel,
-    format_countermodel,
-    parse_countermodel,
-    verify_equation,
-)
-from .report import (
-    DEFAULT_EDGES,
-    Histogram,
-    SummaryRow,
-    SummaryTable,
-    histogram,
-    render,
-    summarize,
-)
-from .runner import (
-    UNSOLVED,
-    MethodSpec,
-    ResultRecord,
-    RunConfig,
-    Schedule,
-    attempt_pair,
-    default_schedule,
-    load_results,
-    load_schedule,
-    parse_schedule,
-    propagate_log,
-    run,
-)
-from .saturation import (
-    PROVED,
-    SATURATED,
-    Cmp,
-    KboConfig,
-    Orientation,
-    ProcessedEq,
-    Proof,
-    SaturationOutcome,
-    Step,
-    critical_pairs,
-    format_proof,
-    kbo_compare,
-    match,
-    normalize,
-    orient_equation,
-    parse_proof,
-    replay_proof,
-    saturate,
-    unify,
-)
-from .terms import (
-    Const,
-    Corpus,
-    Equation,
-    Op,
-    Var,
-    canonicalize,
-    enumerate_pairs,
-    load_corpus,
-    pair_count,
-    parse_equation,
-    print_equation,
-)
-from .tptp import GroundDiseq, export_directory, export_pair, problem_filename, skolemize
+from .models import FOUND, find_countermodel
+from .saturation import PROVED, replay_proof, saturate
+from .terms import parse_equation
+from .tptp import skolemize
 
 __all__ = [
-    "Budget",
-    "BudgetMeter",
-    "UNLIMITED",
-    "PROVEN",
-    "REFUTED",
-    "UNSOLVED",
-    "ConsistencyError",
-    "StatusEntry",
-    "propagate",
-    "derived_count",
     "FOUND",
-    "EXHAUSTED",
-    "OUT_OF_BUDGET",
-    "MagmaTable",
-    "Countermodel",
-    "SearchOutcome",
-    "find_countermodel",
-    "count_models",
-    "eval_term",
-    "verify_equation",
-    "format_countermodel",
-    "parse_countermodel",
-    "DEFAULT_EDGES",
-    "SummaryRow",
-    "SummaryTable",
-    "Histogram",
-    "summarize",
-    "histogram",
-    "render",
-    "MethodSpec",
-    "Schedule",
-    "ResultRecord",
-    "RunConfig",
-    "default_schedule",
-    "parse_schedule",
-    "load_schedule",
-    "attempt_pair",
-    "run",
-    "load_results",
-    "propagate_log",
     "PROVED",
-    "SATURATED",
-    "Cmp",
-    "KboConfig",
-    "Orientation",
-    "ProcessedEq",
-    "Proof",
-    "Step",
-    "SaturationOutcome",
-    "kbo_compare",
-    "match",
-    "unify",
-    "normalize",
-    "orient_equation",
-    "critical_pairs",
-    "saturate",
-    "replay_proof",
-    "format_proof",
-    "parse_proof",
-    "Var",
-    "Const",
-    "Op",
-    "Equation",
-    "Corpus",
+    "find_countermodel",
     "parse_equation",
-    "print_equation",
-    "canonicalize",
-    "load_corpus",
-    "enumerate_pairs",
-    "pair_count",
-    "GroundDiseq",
+    "replay_proof",
+    "saturate",
     "skolemize",
-    "export_pair",
-    "problem_filename",
-    "export_directory",
 ]

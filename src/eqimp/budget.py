@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+OUT_OF_BUDGET = "out-of-budget"  # outcome status shared by both engines
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -46,6 +48,8 @@ class BudgetMeter:
         if self.budget.steps is not None and self.steps_used > self.budget.steps:
             self.steps_used = self.budget.steps
             return False
-        if self._deadline is not None and time.monotonic() >= self._deadline:
-            return False
-        return True
+        return not self.expired()
+
+    def expired(self) -> bool:
+        """True once the wall-clock allowance is spent; uses no step."""
+        return self._deadline is not None and time.monotonic() >= self._deadline

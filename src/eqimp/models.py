@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budget import Budget, BudgetMeter, UNLIMITED
-from .terms import Equation, Op, Term, Var, var_name
+from .budget import OUT_OF_BUDGET, Budget, BudgetMeter, UNLIMITED
+from .terms import Equation, Op, Term, Var, var_name, variables
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
-OUT_OF_BUDGET = "out-of-budget"
 
 
 @dataclass(frozen=True)
@@ -70,22 +69,10 @@ def eval_term(term: Term, table: MagmaTable, env) -> int:
     raise TypeError(f"cannot evaluate {term!r} in a finite table")
 
 
-def _env_width(eq: Equation) -> int:
-    width = 0
-    stack = [eq.lhs, eq.rhs]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Var):
-            width = max(width, term.index + 1)
-        elif isinstance(term, Op):
-            stack.extend((term.left, term.right))
-    return width
-
-
 def verify_equation(table: MagmaTable, eq: Equation):
     """None when the equation holds; otherwise the first violating assignment
     in lexicographic order."""
-    width = _env_width(eq)
+    width = max(variables(eq.lhs, eq.rhs), default=-1) + 1
     for env in itertools.product(range(table.size), repeat=width):
         if eval_term(eq.lhs, table, env) != eval_term(eq.rhs, table, env):
             return env
@@ -140,7 +127,7 @@ def _search_size(n, premise, conclusion, meter):
     rhs_prog: list = []
     _compile(premise.lhs, lhs_prog)
     _compile(premise.rhs, rhs_prog)
-    width = _env_width(premise)
+    width = max(variables(premise.lhs, premise.rhs), default=-1) + 1
     envs = list(itertools.product(range(n), repeat=width))
 
     cells = n * n
@@ -248,26 +235,6 @@ def find_countermodel(
     return SearchOutcome(EXHAUSTED, None, searched, meter.steps_used)
 
 
-# --- enumeration oracle ------------------------------------------------------
-
-
-def count_models(eq: Equation, size: int, cap: int = 10_000_000) -> int:
-    """Count all size-n tables satisfying eq by plain enumeration.
-
-    Refuses when n^(n*n) exceeds the cap; this is a test oracle, not a search.
-    """
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    total = size ** (size * size)
-    if total > cap:
-        raise ValueError(f"enumeration of {total} tables exceeds cap {cap}")
-    count = 0
-    for entries in itertools.product(range(size), repeat=size * size):
-        if verify_equation(MagmaTable(size, entries), eq) is None:
-            count += 1
-    return count
-
-
 # --- witness serialization ---------------------------------------------------
 
 
@@ -300,5 +267,8 @@ def parse_countermodel(text: str) -> Countermodel:
         name, _, value = item.partition("=")
         if name != var_name(index):
             raise ValueError(f"unexpected assignment entry {item!r}")
-        assignment.append(int(value))
+        element = int(value)
+        if not 0 <= element < size:
+            raise ValueError(f"assignment entry {item!r} is not an element 0..{size - 1}")
+        assignment.append(element)
     return Countermodel(MagmaTable.from_rows(rows), tuple(assignment))

@@ -14,6 +14,7 @@ elapsed seconds) is independent of worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import queue
@@ -141,7 +142,6 @@ class RunConfig:
     out_path: str
     workers: int = 1
     resume: bool = False
-    seed: int = 0  # reserved; engines are deterministic
 
     def __post_init__(self):
         if self.workers < 1:
@@ -154,6 +154,21 @@ _RECORD_KEYS = ("lhs", "rhs", "status", "method", "stage", "seconds", "witness")
 def _record_line(record: ResultRecord) -> str:
     payload = {key: getattr(record, key) for key in _RECORD_KEYS}
     return json.dumps(payload) + "\n"
+
+
+def _write_log(path: str, records) -> None:
+    """Replace the log with these records in one rename, so a run killed
+    mid-write leaves the previous log intact."""
+    temporary = f"{path}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(_record_line(record))
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
 
 
 def _record_from_dict(payload: dict, where: str) -> ResultRecord:
@@ -207,15 +222,13 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
     canonical (lhs, rhs) order and leaves the same set in the log file."""
     done: dict[tuple[int, int], ResultRecord] = {}
     if config.resume and os.path.exists(config.out_path):
-        _, previous = load_results(config.out_path)
+        _, previous = load_results(config.out_path, drop_torn_tail=True)
         for record in previous:
             if record.status != UNSOLVED:
                 done[(record.lhs, record.rhs)] = record
         # rewrite the log to decided records only, so retried pairs cannot
         # produce duplicate lines
-        with open(config.out_path, "w", encoding="utf-8") as handle:
-            for pair in sorted(done):
-                handle.write(_record_line(done[pair]))
+        _write_log(config.out_path, (done[pair] for pair in sorted(done)))
 
     todo = [pair for pair in enumerate_pairs(corpus) if pair not in done]
     pending: queue.Queue[tuple[int, int] | None] = queue.Queue()
@@ -254,10 +267,13 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
     return [records[pair] for pair in sorted(records)]
 
 
-def load_results(path: str) -> tuple[StatusMap, list[ResultRecord]]:
+def load_results(
+    path: str, drop_torn_tail: bool = False
+) -> tuple[StatusMap, list[ResultRecord]]:
     """Reconstruct records from a log; duplicate pairs and malformed lines are
     format errors naming the line.  The status map carries decided pairs only,
-    keyed for closure.propagate."""
+    keyed for closure.propagate.  With drop_torn_tail, an unparsable final
+    line without its newline (a write cut short by a killed run) is skipped."""
     records = []
     seen: dict[tuple[int, int], int] = {}
     status_map: StatusMap = {}
@@ -270,6 +286,8 @@ def load_results(path: str) -> tuple[StatusMap, list[ResultRecord]]:
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as err:
+                if drop_torn_tail and not raw.endswith("\n"):
+                    break
                 raise ValueError(f"{where}: bad record: {err}") from None
             if not isinstance(payload, dict):
                 raise ValueError(f"{where}: record must be an object")
@@ -299,16 +317,11 @@ def propagate_log(path: str) -> int:
         for record in records
         if not (record.status == UNSOLVED and (record.lhs, record.rhs) in derived)
     ]
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in kept:
-            handle.write(_record_line(record))
+
+    def closure_records():
         for pair in sorted(derived):
             entry = derived[pair]
-            handle.write(
-                _record_line(
-                    ResultRecord(
-                        pair[0], pair[1], entry.status, entry.provenance, CLOSURE_STAGE, 0.0, None
-                    )
-                )
-            )
+            yield ResultRecord(*pair, entry.status, entry.provenance, CLOSURE_STAGE, 0.0, None)
+
+    _write_log(path, itertools.chain(kept, closure_records()))
     return len(derived)

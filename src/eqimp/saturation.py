@@ -20,7 +20,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .budget import Budget, BudgetMeter, UNLIMITED
+from .budget import OUT_OF_BUDGET, Budget, BudgetMeter, UNLIMITED
 from .terms import (
     Const,
     Equation,
@@ -28,20 +28,20 @@ from .terms import (
     Term,
     Var,
     canonicalize,
-    const_name,
     format_term,
+    parse_term,
     positions,
     replace_at,
     subterm_at,
     term_size,
     var_name,
-    _tokenize,
+    variables,
+    _var_index,
 )
 from .tptp import GroundDiseq
 
 PROVED = "proved"
 SATURATED = "saturated"
-OUT_OF_BUDGET = "out-of-budget"
 
 
 class Cmp(Enum):
@@ -54,46 +54,26 @@ class Cmp(Enum):
 GT, LT, EQ, INC = Cmp.GT, Cmp.LT, Cmp.EQ, Cmp.INC
 
 
-@dataclass(frozen=True)
-class KboConfig:
-    """Uniform symbol weights; constants are ordered by index below the op."""
-
-    var_weight: int = 1
-    const_weight: int = 1
-    op_weight: int = 1
-
-    def __post_init__(self):
-        if min(self.var_weight, self.const_weight, self.op_weight) <= 0:
-            raise ValueError("weights must be positive")
-        if self.const_weight < self.var_weight:
-            # admissibility: every constant weighs at least as much as a variable
-            raise ValueError("constant weight must be at least the variable weight")
-
-
-DEFAULT_KBO = KboConfig()
-
-
 @lru_cache(maxsize=None)
-def _shape(term: Term) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """(op count, const count, sorted (var index, occurrences))."""
-    ops = consts = 0
+def _shape(term: Term) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(weight, sorted (var index, occurrences)).  Every symbol weighs 1, so
+    the weight is the term's size."""
+    size = 0
     var_counts: dict[int, int] = {}
     stack = [term]
     while stack:
         t = stack.pop()
+        size += 1
         if isinstance(t, Var):
             var_counts[t.index] = var_counts.get(t.index, 0) + 1
-        elif isinstance(t, Const):
-            consts += 1
-        else:
-            ops += 1
+        elif isinstance(t, Op):
             stack.append(t.left)
             stack.append(t.right)
-    return ops, consts, tuple(sorted(var_counts.items()))
+    return size, tuple(sorted(var_counts.items()))
 
 
 def is_ground(term: Term) -> bool:
-    return not _shape(term)[2]
+    return not _shape(term)[1]
 
 
 def _head_rank(term: Term) -> tuple[int, int]:
@@ -103,25 +83,15 @@ def _head_rank(term: Term) -> tuple[int, int]:
     return (1, 0)
 
 
-def kbo_compare(s: Term, t: Term, config: KboConfig = DEFAULT_KBO) -> Cmp:
+def kbo_compare(s: Term, t: Term) -> Cmp:
     if s == t:
         return EQ
-    ops_s, consts_s, vars_s = _shape(s)
-    ops_t, consts_t, vars_t = _shape(t)
+    ws, vars_s = _shape(s)
+    wt, vars_t = _shape(t)
     vs = dict(vars_s)
     vt = dict(vars_t)
     s_covers = all(vs.get(i, 0) >= k for i, k in vt.items())
     t_covers = all(vt.get(i, 0) >= k for i, k in vs.items())
-    ws = (
-        config.op_weight * ops_s
-        + config.const_weight * consts_s
-        + config.var_weight * sum(vs.values())
-    )
-    wt = (
-        config.op_weight * ops_t
-        + config.const_weight * consts_t
-        + config.var_weight * sum(vt.values())
-    )
     if ws > wt:
         return GT if s_covers else INC
     if wt > ws:
@@ -136,9 +106,9 @@ def kbo_compare(s: Term, t: Term, config: KboConfig = DEFAULT_KBO) -> Cmp:
     if rank_s < rank_t:
         return LT if t_covers else INC
     # same head; equal constants were caught by the identity test
-    sub = kbo_compare(s.left, t.left, config)
+    sub = kbo_compare(s.left, t.left)
     if sub == EQ:
-        sub = kbo_compare(s.right, t.right, config)
+        sub = kbo_compare(s.right, t.right)
     if sub == GT:
         return GT if s_covers else INC
     if sub == LT:
@@ -251,11 +221,6 @@ def _shift_vars(term: Term, offset: int) -> Term:
             return term
 
 
-def _max_var(term: Term) -> int:
-    vars_ = _shape(term)[2]
-    return max((i for i, _ in vars_), default=-1)
-
-
 # --- proof steps --------------------------------------------------------------
 
 
@@ -292,11 +257,6 @@ def _subst_step(step: Step, subst: Subst) -> Step:
         after=apply_subst(step.after, subst),
         eq_id=step.eq_id,
     )
-
-
-def _rename_step(step: Step, mapping: dict[int, int]) -> Step:
-    subst = {i: Var(j) for i, j in mapping.items()}
-    return _subst_step(step, subst)
 
 
 def _embed_step(step: Step, context: Term, pos: tuple[int, ...]) -> Step:
@@ -345,12 +305,12 @@ class ProcessedEq:
         )
 
 
-def _try_rewrite_root(term, rules, config):
+def _try_rewrite_root(term, rules):
     for src, tgt, chain, ordered in rules:
         subst = match(src, term)
         if subst is None:
             continue
-        extra = [i for i, _ in _shape(tgt)[2] if i not in subst]
+        extra = [i for i, _ in _shape(tgt)[1] if i not in subst]
         if extra:
             # fill unmatched target variables with the least constant; only
             # safe to decide termination by ordering when the redex is ground
@@ -360,17 +320,17 @@ def _try_rewrite_root(term, rules, config):
                 subst[i] = Const(0)
         replacement = apply_subst(tgt, subst)
         if not ordered or extra:
-            if kbo_compare(term, replacement, config) != GT:
+            if kbo_compare(term, replacement) != GT:
                 continue
         steps = tuple(_subst_step(s, subst) for s in chain)
         return replacement, steps
     return None
 
 
-def _rewrite_once(term, rules, config):
+def _rewrite_once(term, rules):
     """Rewrite the innermost-leftmost redex; None when term is in normal form."""
     if isinstance(term, Op):
-        hit = _rewrite_once(term.left, rules, config)
+        hit = _rewrite_once(term.left, rules)
         if hit is not None:
             new_left, steps = hit
             return Op(new_left, term.right), tuple(
@@ -383,7 +343,7 @@ def _rewrite_once(term, rules, config):
                 )
                 for s in steps
             )
-        hit = _rewrite_once(term.right, rules, config)
+        hit = _rewrite_once(term.right, rules)
         if hit is not None:
             new_right, steps = hit
             return Op(term.left, new_right), tuple(
@@ -396,7 +356,7 @@ def _rewrite_once(term, rules, config):
                 )
                 for s in steps
             )
-    return _try_rewrite_root(term, rules, config)
+    return _try_rewrite_root(term, rules)
 
 
 def _directed_rules(eqs: Iterable[ProcessedEq]):
@@ -408,11 +368,11 @@ def _directed_rules(eqs: Iterable[ProcessedEq]):
     return rules
 
 
-def _normalize_traced(term, rules, config, cap):
+def _normalize_traced(term, rules, cap):
     steps: list[Step] = []
     rewrites = 0
     while True:
-        hit = _rewrite_once(term, rules, config)
+        hit = _rewrite_once(term, rules)
         if hit is None:
             return term, tuple(steps)
         rewrites += 1
@@ -429,45 +389,38 @@ _ORIENTATION_OF_CMP = {
 }
 
 
-def orient_equation(
-    eq: Equation, eq_id: int | None = None, config: KboConfig = DEFAULT_KBO
-) -> ProcessedEq | None:
+def orient_equation(eq: Equation, eq_id: int | None = None) -> ProcessedEq | None:
     """Canonicalize and orient an equation; None when it is trivial (s = s)."""
     eq = canonicalize(eq)
     if eq.lhs == eq.rhs:
         return None
     if eq_id is None:
         eq_id = eq.id if eq.id is not None else 1
-    identity = tuple(
-        (i, Var(i))
-        for i in sorted(dict(_shape(eq.lhs)[2] + _shape(eq.rhs)[2]))
-    )
+    # canonical numbering makes first-occurrence order ascending
+    identity = tuple((i, Var(i)) for i in variables(eq.lhs, eq.rhs))
     chain = (Step((), identity, eq.lhs, eq.rhs, eq_id),)
-    cmp = kbo_compare(eq.lhs, eq.rhs, config)
+    cmp = kbo_compare(eq.lhs, eq.rhs)
     return ProcessedEq(eq.lhs, eq.rhs, _ORIENTATION_OF_CMP[cmp], chain)
 
 
-def _coerce_processed(eqs, config) -> list[ProcessedEq]:
+def _coerce_processed(eqs) -> list[ProcessedEq]:
     procs = []
     for k, eq in enumerate(eqs, 1):
         if isinstance(eq, ProcessedEq):
             procs.append(eq)
             continue
-        proc = orient_equation(eq, eq.id or k, config)
+        proc = orient_equation(eq, eq.id or k)
         if proc is not None:
             procs.append(proc)
     return procs
 
 
 def normalize(
-    term: Term,
-    eqs: Iterable[ProcessedEq | Equation],
-    config: KboConfig = DEFAULT_KBO,
-    cap: int = 10_000,
+    term: Term, eqs: Iterable[ProcessedEq | Equation], cap: int = 10_000
 ) -> Term:
     """Normal form under ordered rewriting with the given equations."""
-    procs = _coerce_processed(eqs, config)
-    nf, _ = _normalize_traced(term, _directed_rules(procs), config, cap)
+    procs = _coerce_processed(eqs)
+    nf, _ = _normalize_traced(term, _directed_rules(procs), cap)
     return nf
 
 
@@ -475,24 +428,12 @@ def normalize(
 
 
 def _canonical_triple(left, right, chain):
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def collect(term):
-        for _, sub in positions(term):
-            if isinstance(sub, Var) and sub.index not in seen:
-                seen.add(sub.index)
-                order.append(sub.index)
-
-    collect(left)
-    collect(right)
+    """Renumber variables by first occurrence across the equation and then
+    its chain, so the equation part agrees with canonicalize."""
+    terms = [left, right]
     for step in chain:
-        collect(step.before)
-        collect(step.after)
-        for _, value in step.subst:
-            collect(value)
-    mapping = {old: new for new, old in enumerate(order)}
-    rename = {old: Var(new) for old, new in mapping.items()}
+        terms += (step.before, step.after, *(value for _, value in step.subst))
+    rename = {old: Var(new) for new, old in enumerate(variables(*terms))}
     return (
         apply_subst(left, rename),
         apply_subst(right, rename),
@@ -500,11 +441,13 @@ def _canonical_triple(left, right, chain):
     )
 
 
-def _overlaps(inner, outer, config, include_root):
+def _overlaps(inner, outer, include_root, meter):
     s_in, t_in, ch_in = inner
     s_out, t_out, ch_out = outer
     found = []
     for pos, sub in positions(s_out):
+        if meter.expired():
+            break  # the caller sees the expiry too and drops this partial list
         if isinstance(sub, Var):
             continue
         if not include_root and pos == ():
@@ -513,9 +456,9 @@ def _overlaps(inner, outer, config, include_root):
         if mgu is None:
             continue
         # discard overlaps whose instances flip against the ordering
-        if kbo_compare(apply_subst(t_out, mgu), apply_subst(s_out, mgu), config) == GT:
+        if kbo_compare(apply_subst(t_out, mgu), apply_subst(s_out, mgu)) == GT:
             continue
-        if kbo_compare(apply_subst(t_in, mgu), apply_subst(s_in, mgu), config) == GT:
+        if kbo_compare(apply_subst(t_in, mgu), apply_subst(s_in, mgu)) == GT:
             continue
         peak = apply_subst(s_out, mgu)
         left = apply_subst(t_out, mgu)
@@ -530,8 +473,8 @@ def _overlaps(inner, outer, config, include_root):
     return found
 
 
-def _critical_pair_triples(e1: ProcessedEq, e2: ProcessedEq, config):
-    offset = max(_max_var(e1.lhs), _max_var(e1.rhs)) + 1
+def _critical_pair_triples(e1: ProcessedEq, e2: ProcessedEq, meter: BudgetMeter):
+    offset = max(variables(e1.lhs, e1.rhs), default=-1) + 1
     shifted = ProcessedEq(
         _shift_vars(e2.lhs, offset),
         _shift_vars(e2.rhs, offset),
@@ -550,34 +493,30 @@ def _critical_pair_triples(e1: ProcessedEq, e2: ProcessedEq, config):
     triples = []
     for d1 in e1.directed():
         for d2 in shifted.directed():
-            triples.extend(_overlaps(d1, d2, config, include_root=True))
-            triples.extend(_overlaps(d2, d1, config, include_root=False))
+            triples.extend(_overlaps(d1, d2, True, meter))
+            triples.extend(_overlaps(d2, d1, False, meter))
     return triples
 
 
-def critical_pairs(
-    e1: ProcessedEq | Equation,
-    e2: ProcessedEq | Equation,
-    config: KboConfig = DEFAULT_KBO,
-) -> list[Equation]:
+def critical_pairs(e1: ProcessedEq | Equation, e2: ProcessedEq | Equation) -> list[Equation]:
     """All critical pairs between two equations, canonicalized, duplicates and
     trivial pairs removed.  Overlap positions are non-variable; directions are
     limited to sides not smaller than their partner.  Renaming apart is done
     internally, so the same equation may be passed twice."""
-    coerced = _coerce_processed([e1, e2], config)
+    coerced = _coerce_processed([e1, e2])
     if len(coerced) < 2:
         return []
     p1, p2 = coerced
     result = []
     seen = set()
-    for left, right, _ in _critical_pair_triples(p1, p2, config):
-        key = (left, right)
-        flipped = _canonical_triple(right, left, ())[:2]
+    for left, right, _ in _critical_pair_triples(p1, p2, BudgetMeter(UNLIMITED)):
+        key = Equation(left, right)
+        flipped = canonicalize(Equation(right, left))
         if key in seen or flipped in seen:
             continue
         seen.add(key)
         seen.add(flipped)
-        result.append(Equation(left, right))
+        result.append(key)
     return result
 
 
@@ -591,16 +530,10 @@ class SaturationOutcome:
     steps_used: int
 
 
-def _canonical_key(left, right):
-    l, r, _ = _canonical_triple(left, right, ())
-    return (l, r)
-
-
 def saturate(
     axiom: Equation,
     goal: GroundDiseq,
     budget: Budget = UNLIMITED,
-    config: KboConfig = DEFAULT_KBO,
     cap: int = 10_000,
 ) -> SaturationOutcome:
     """Prove or refute goal.left = goal.right from one universally
@@ -611,20 +544,26 @@ def saturate(
 
     queue: list[tuple[int, int, Term, Term, tuple[Step, ...]]] = []
     serial = 0
-    seen: set[tuple[Term, Term]] = set()
+    seen: set[Equation] = set()
+
+    def unseen(left, right) -> bool:
+        """Record the canonical equation; False when it or its flip was seen."""
+        key = canonicalize(Equation(left, right))
+        if key in seen or canonicalize(Equation(right, left)) in seen:
+            return False
+        seen.add(key)
+        return True
 
     def enqueue(left, right, chain):
         nonlocal serial
-        key = _canonical_key(left, right)
-        if key in seen or _canonical_key(right, left) in seen:
+        if not unseen(left, right):
             return
-        seen.add(key)
         heapq.heappush(
             queue, (term_size(left) + term_size(right), serial, left, right, chain)
         )
         serial += 1
 
-    base = orient_equation(axiom, ax_id, config)
+    base = orient_equation(axiom, ax_id)
     if base is not None:
         enqueue(base.lhs, base.rhs, base.chain)
 
@@ -635,9 +574,9 @@ def saturate(
     right_steps: list[Step] = []
 
     while meter.tick():
-        goal_left, steps = _normalize_traced(goal_left, rules, config, cap)
+        goal_left, steps = _normalize_traced(goal_left, rules, cap)
         left_steps.extend(steps)
-        goal_right, steps = _normalize_traced(goal_right, rules, config, cap)
+        goal_right, steps = _normalize_traced(goal_right, rules, cap)
         right_steps.extend(steps)
         if goal_left == goal_right:
             conversion = tuple(left_steps) + _reverse_chain(tuple(right_steps))
@@ -646,32 +585,34 @@ def saturate(
             return SaturationOutcome(SATURATED, None, meter.steps_used)
 
         _, _, left, right, chain = heapq.heappop(queue)
-        left2, steps_l = _normalize_traced(left, rules, config, cap)
-        right2, steps_r = _normalize_traced(right, rules, config, cap)
+        left2, steps_l = _normalize_traced(left, rules, cap)
+        right2, steps_r = _normalize_traced(right, rules, cap)
         if left2 == right2:
             continue
         chain = _reverse_chain(steps_l) + chain + steps_r
         left2, right2, chain = _canonical_triple(left2, right2, chain)
-        if (left2, right2) != (left, right):
-            key = (left2, right2)
-            if key in seen or _canonical_key(right2, left2) in seen:
-                continue
-            seen.add(key)
+        if (left2, right2) != (left, right) and not unseen(left2, right2):
+            continue
         given = ProcessedEq(
-            left2, right2, _ORIENTATION_OF_CMP[kbo_compare(left2, right2, config)], chain
+            left2, right2, _ORIENTATION_OF_CMP[kbo_compare(left2, right2)], chain
         )
 
+        # the deadline checks below use no steps, so step-budgeted runs are
+        # unaffected; they keep one long iteration from overrunning a wall budget
         new_triples = []
-        for other in processed:
-            new_triples.extend(_critical_pair_triples(given, other, config))
-        new_triples.extend(_critical_pair_triples(given, given, config))
+        for other in processed + [given]:
+            new_triples.extend(_critical_pair_triples(given, other, meter))
+            if meter.expired():
+                return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
 
         # inter-reduction: simplify stored equations with the new one
         given_rules = _directed_rules([given])
         survivors = []
         for other in processed:
-            l2, sl = _normalize_traced(other.lhs, given_rules, config, cap)
-            r2, sr = _normalize_traced(other.rhs, given_rules, config, cap)
+            if meter.expired():
+                return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
+            l2, sl = _normalize_traced(other.lhs, given_rules, cap)
+            r2, sr = _normalize_traced(other.rhs, given_rules, cap)
             if l2 == other.lhs and r2 == other.rhs:
                 survivors.append(other)
                 continue
@@ -742,47 +683,9 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines)
 
 
-def _parse_term(text: str) -> Term:
-    tokens = _tokenize(text)
-
-    def atom(pos):
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of term")
-        kind, tok, col = tokens[pos]
-        if tok == "(":
-            term, pos = side(pos + 1)
-            if pos >= len(tokens) or tokens[pos][1] != ")":
-                raise ValueError(f"missing ')' near column {col}")
-            return term, pos + 1
-        if kind == "name":
-            if tok in "xyzwuv" and len(tok) == 1:
-                return Var("xyzwuv".index(tok)), pos + 1
-            if tok[0] == "v" and tok[1:].isdigit():
-                return Var(int(tok[1:])), pos + 1
-            if tok in "abcdef" and len(tok) == 1:
-                return Const("abcdef".index(tok)), pos + 1
-            if tok[0] == "c" and tok[1:].isdigit():
-                return Const(int(tok[1:])), pos + 1
-        raise ValueError(f"bad term token {tok!r} at column {col}")
-
-    def side(pos):
-        left, pos = atom(pos)
-        if pos < len(tokens) and tokens[pos][1] == "*":
-            right, pos = atom(pos + 1)
-            return Op(left, right), pos
-        return left, pos
-
-    term, end = side(0)
-    if end != len(tokens):
-        raise ValueError(f"trailing input in term {text!r}")
-    return term
-
-
 _STEP_RE = re.compile(
     r"step (\d+): rewrite at (\S+) with eq (\d+) under \{(.*)\}: (.*) ==> (.*)$"
 )
-
-_NAME_RE = re.compile(r"^(?:[xyzwuv]|v\d+)$")
 
 
 def parse_proof(text: str) -> Proof:
@@ -798,19 +701,16 @@ def parse_proof(text: str) -> Proof:
         if subst_text:
             for item in subst_text.split(","):
                 name, _, value = item.partition("=")
-                if not _NAME_RE.match(name):
+                index = _var_index(name)
+                if index is None:
                     raise ValueError(f"bad substitution entry {item!r} on line {lineno}")
-                if len(name) == 1:
-                    index = "xyzwuv".index(name)
-                else:
-                    index = int(name[1:])
-                subst.append((index, _parse_term(value)))
+                subst.append((index, parse_term(value)))
         steps.append(
             Step(
                 pos=_parse_pos(pos_text),
                 subst=tuple(subst),
-                before=_parse_term(before),
-                after=_parse_term(after),
+                before=parse_term(before),
+                after=parse_term(after),
                 eq_id=int(eq_id),
             )
         )

@@ -1,8 +1,9 @@
 """Terms and equations over a single binary operation.
 
 Variables are numbered; the surface syntax spells them x, y, z, w, u, v and
-then v6, v7, ... for higher indexes.  Constants never appear in parsed
-equations, they enter later when a conjecture is grounded.
+then v6, v7, ... for higher indexes.  Constants are spelled a..f and then c6,
+c7, ...; they never appear in parsed equations, they enter when a conjecture
+is grounded and are read back only by parse_term (proof witnesses).
 """
 
 from __future__ import annotations
@@ -67,24 +68,23 @@ def const_name(index: int) -> str:
     return CONST_LETTERS[index] if index < 6 else f"c{index}"
 
 
-def _var_index(name: str) -> int | None:
-    if name in VAR_LETTERS and len(name) == 1:
-        return VAR_LETTERS.index(name)
-    if name[0] == "v" and name[1:].isdigit():
+def _name_index(name: str, letters: str, prefix: str) -> int | None:
+    # inverse of var_name / const_name: letters below 6, prefix+digits above
+    if len(name) == 1 and name in letters:
+        return letters.index(name)
+    if name[:1] == prefix and name[1:].isdigit():
         index = int(name[1:])
         if index >= 6:
             return index
     return None
+
+
+def _var_index(name: str) -> int | None:
+    return _name_index(name, VAR_LETTERS, "v")
 
 
 def _const_index(name: str) -> int | None:
-    if name in CONST_LETTERS and len(name) == 1:
-        return CONST_LETTERS.index(name)
-    if name[0] == "c" and name[1:].isdigit():
-        index = int(name[1:])
-        if index >= 6:
-            return index
-    return None
+    return _name_index(name, CONST_LETTERS, "c")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -117,10 +117,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
+    def __init__(self, text: str, constants: bool = False):
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.length = length
+        self.length = len(text)
+        self.constants = constants
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -145,9 +146,13 @@ class _Parser:
             return term
         if kind == "name":
             index = _var_index(text)
-            if index is None:
-                raise ValueError(f"unknown variable {text!r} at column {col}")
-            return Var(index)
+            if index is not None:
+                return Var(index)
+            index = _const_index(text) if self.constants else None
+            if index is not None:
+                return Const(index)
+            what = "name" if self.constants else "variable"
+            raise ValueError(f"unknown {what} {text!r} at column {col}")
         raise ValueError(f"expected a term at column {col}, found {text!r}")
 
     def side(self) -> Term:
@@ -161,26 +166,37 @@ class _Parser:
             return Op(left, right)
         return left
 
+    def end(self) -> None:
+        trailing = self.peek()
+        if trailing is not None:
+            raise ValueError(f"unexpected {trailing[1]!r} at column {trailing[2]}")
+
 
 def parse_equation(text: str) -> Equation:
     """Parse one equation such as '(x*y)*z=x*(y*z)'.
 
     Raises ValueError with a column position on malformed input.
     """
-    tokens = _tokenize(text)
-    eq_positions = [tok[2] for tok in tokens if tok[1] == "="]
+    parser = _Parser(text)
+    eq_positions = [tok[2] for tok in parser.tokens if tok[1] == "="]
     if len(eq_positions) == 0:
         raise ValueError("missing '=' in equation")
     if len(eq_positions) > 1:
         raise ValueError(f"second '=' at column {eq_positions[1]}")
-    parser = _Parser(tokens, len(text))
     lhs = parser.side()
     parser.expect("=")
     rhs = parser.side()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ValueError(f"unexpected {trailing[1]!r} at column {trailing[2]}")
+    parser.end()
     return Equation(lhs, rhs)
+
+
+def parse_term(text: str) -> Term:
+    """Parse one term such as 'a*(x*b)'; unlike equations, terms may contain
+    constants.  Raises ValueError with a column position on malformed input."""
+    parser = _Parser(text, constants=True)
+    term = parser.side()
+    parser.end()
+    return term
 
 
 # --- printing --------------------------------------------------------------
@@ -229,28 +245,20 @@ def _rename_vars(term: Term, mapping: dict[int, int]) -> Term:
             return term
 
 
+def variables(*terms: Term) -> list[int]:
+    """Distinct variable indexes of the terms, by first occurrence in preorder,
+    earlier terms first."""
+    order: list[int] = []
+    seen: set[int] = set()
+    for term in terms:
+        _collect_vars(term, order, seen)
+    return order
+
+
 def canonicalize(eq: Equation) -> Equation:
     """Renumber variables by first occurrence, lhs before rhs, preorder."""
-    order: list[int] = []
-    seen: set[int] = set()
-    _collect_vars(eq.lhs, order, seen)
-    _collect_vars(eq.rhs, order, seen)
-    mapping = {old: new for new, old in enumerate(order)}
+    mapping = {old: new for new, old in enumerate(variables(eq.lhs, eq.rhs))}
     return Equation(_rename_vars(eq.lhs, mapping), _rename_vars(eq.rhs, mapping), id=eq.id)
-
-
-def variables(term: Term) -> list[int]:
-    order: list[int] = []
-    _collect_vars(term, order, set())
-    return order
-
-
-def equation_variables(eq: Equation) -> list[int]:
-    order: list[int] = []
-    seen: set[int] = set()
-    _collect_vars(eq.lhs, order, seen)
-    _collect_vars(eq.rhs, order, seen)
-    return order
 
 
 def term_size(term: Term) -> int:

@@ -115,6 +115,19 @@ def test_run_bad_schedule_file_exits_1(tmp_path, capsys):
 # --- closure -----------------------------------------------------------------
 
 
+def test_resume_retries_a_record_cut_short_by_a_killed_run(tmp_path, capsys):
+    eqs, log = _mini_run(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
+    text = pathlib.Path(log).read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    pathlib.Path(log).write_text(text[: len(text) - len(last) // 2 - 1])
+    sched = str(tmp_path / "sched.txt")
+    assert main(["run", "--eqs", eqs, "--out", log, "--schedule", sched, "--resume"]) == 0
+    assert "6 pairs: 6 decided, 0 unsolved" in capsys.readouterr().out
+    # one parsable record per pair: load_results rejects duplicates
+    assert main(["report", "--results", log]) == 0
+    assert len(pathlib.Path(log).read_text().splitlines()) == 6
+
+
 def _write_log(path, rows):
     with open(path, "w") as handle:
         for row in rows:
@@ -230,3 +243,20 @@ def test_verify_unreadable_witness_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--eqs", eqs, "--results", log]) == 2
     assert "pair (1, 2)" in capsys.readouterr().err
+
+
+def test_verify_rejects_assignment_outside_the_table(tmp_path, capsys):
+    # the table is commutative and associative; negative or oversized
+    # assignment values must not make it look like a countermodel
+    eqs = _write(tmp_path / "mini.eqs", "x*y = y*x\n(x*y)*z = x*(y*z)\n")
+    for assignment, message in (
+        ("x=-2 y=0 z=-1", "'x=-2' is not an element 0..1"),
+        ("x=0 y=2 z=0", "'y=2' is not an element 0..1"),
+    ):
+        row = {"lhs": 1, "rhs": 2, "status": "refuted", "method": "fmb", "stage": 1,
+               "seconds": 0.0, "witness": f"2\n0 0\n0 1\n{assignment}"}
+        log = _write_log(tmp_path / "out.jsonl", [row])
+        capsys.readouterr()
+        assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+        err = capsys.readouterr().err
+        assert "pair (1, 2)" in err and message in err

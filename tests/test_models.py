@@ -7,7 +7,6 @@ from conftest import (
     oracle_countermodel_exists,
     oracle_eval,
     oracle_holds,
-    oracle_tables,
     oracle_width,
     random_equation,
 )
@@ -18,7 +17,6 @@ from eqimp.models import (
     OUT_OF_BUDGET,
     Countermodel,
     MagmaTable,
-    count_models,
     eval_term,
     find_countermodel,
     format_countermodel,
@@ -186,27 +184,6 @@ def test_monotonicity_in_max_size():
             assert bigger.status == FOUND
 
 
-# --- enumeration oracle utility ----------------------------------------------
-
-
-def test_count_models_commutativity_size_two():
-    # oracle: count by hand over all 16 tables
-    expected = sum(1 for rows in oracle_tables(2) if oracle_holds(rows, COMM))
-    assert expected == 8
-    assert count_models(COMM, 2) == 8
-
-
-def test_count_models_trivial_law():
-    assert count_models(parse_equation("x=y"), 2) == 0
-    assert count_models(parse_equation("x=y"), 1) == 1
-    assert count_models(parse_equation("x=x"), 2) == 16
-
-
-def test_count_models_refuses_large_sizes():
-    with pytest.raises(ValueError, match="cap"):
-        count_models(COMM, 4)
-
-
 # --- witness serialization ---------------------------------------------------
 
 
@@ -224,3 +201,8 @@ def test_countermodel_parse_rejects_garbage():
         parse_countermodel("2\n0 0 0\n1 1\nx=0")
     with pytest.raises(ValueError):
         parse_countermodel("nope")
+    for value in ("-1", "2"):
+        # an assignment names table elements; a negative value would index
+        # the table from its end
+        with pytest.raises(ValueError, match="not an element 0..1"):
+            parse_countermodel(f"2\n0 0\n1 1\nx=0 y={value}")

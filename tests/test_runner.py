@@ -13,6 +13,7 @@ import pytest
 
 from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
 from eqimp.budget import UNLIMITED, Budget
+from eqimp import runner
 from eqimp.closure import PROVEN, REFUTED, StatusEntry
 from eqimp.models import eval_term, parse_countermodel, verify_equation
 from eqimp.runner import (
@@ -283,6 +284,31 @@ def test_resume_keeps_decided_and_retries_unsolved(tmp_path):
     assert by_pair[(1, 2)] == kept  # skipped, byte-for-byte the old record
     assert by_pair[(1, 3)].status != UNSOLVED  # retried and now decided
     load_results(str(out))  # no duplicate lines after the resume
+
+
+@pytest.mark.parametrize("rewrite", ["resume", "closure"])
+def test_log_rewrite_failing_midway_leaves_the_log_intact(tmp_path, monkeypatch, rewrite):
+    corpus = _corpus(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
+    out = tmp_path / "out.jsonl"
+    run(corpus, _mini_schedule(), RunConfig(str(out)))
+    before = out.read_bytes()
+    original = runner._record_line
+    calls = []
+
+    def fail_on_second_line(record):
+        calls.append(record)
+        if len(calls) == 2:
+            raise RuntimeError("disk full")
+        return original(record)
+
+    monkeypatch.setattr(runner, "_record_line", fail_on_second_line)
+    with pytest.raises(RuntimeError, match="disk full"):
+        if rewrite == "resume":
+            run(corpus, _mini_schedule(), RunConfig(str(out), resume=True))
+        else:
+            propagate_log(str(out))
+    assert out.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["mini.eqs", "out.jsonl"]
 
 
 def test_worker_count_does_not_change_results(tmp_path):

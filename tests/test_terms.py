@@ -4,19 +4,23 @@ import pytest
 
 from conftest import random_equation
 from eqimp.terms import (
+    Const,
     Corpus,
     Equation,
     Op,
     Var,
     canonicalize,
     enumerate_pairs,
+    format_term,
     load_corpus,
     pair_count,
     parse_equation,
+    parse_term,
     positions,
     print_equation,
     replace_at,
     subterm_at,
+    variables,
 )
 
 
@@ -71,6 +75,26 @@ def test_parse_rejects_unknown_variable():
         parse_equation("q*y=y")
 
 
+def test_parse_rejects_constants_in_equations():
+    with pytest.raises(ValueError, match="unknown variable 'a' at column 1"):
+        parse_equation("a*x=x")
+
+
+def test_parse_term_reads_constants_back():
+    term = parse_term("(a*v6)*(c7*x)")
+    assert term == Op(Op(Const(0), Var(6)), Op(Const(7), Var(0)))
+    assert format_term(term) == "(a*v6)*(c7*x)"
+
+
+def test_parse_term_rejects_malformed_input():
+    with pytest.raises(ValueError, match="unknown name 'q' at column 3"):
+        parse_term("a*q")
+    with pytest.raises(ValueError, match="unexpected '\\*' at column 4"):
+        parse_term("a*b*c")
+    with pytest.raises(ValueError, match="unknown name 'c3'"):
+        parse_term("c3")  # indexes below 6 are spelled a..f
+
+
 def test_parse_rejects_unclosed_paren():
     with pytest.raises(ValueError):
         parse_equation("(x*y=y")
@@ -100,6 +124,12 @@ def test_canonicalize_first_occurrence_renumbering():
 def test_canonicalize_orders_lhs_before_rhs():
     eq = canonicalize(parse_equation("z=x*y"))
     assert print_equation(eq) == "x=y*z"
+
+
+def test_variables_first_occurrence_across_terms():
+    eq = parse_equation("(z*x)*z=y*(w*x)")
+    assert variables(eq.lhs, eq.rhs) == [2, 0, 1, 3]
+    assert variables(Op(Const(1), Const(2))) == []
 
 
 def test_canonicalize_idempotent():
