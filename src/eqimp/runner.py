@@ -7,9 +7,10 @@ written as one JSON-lines record per pair; a pair no stage decides is recorded
 as unsolved.  Runs are resumable: decided records from a previous log are kept
 and their pairs skipped, unsolved ones are retried.
 
-Workers pull pair indexes from a shared queue; a single writer thread owns the
-log.  Engines are deterministic for step budgets, so the record set (ignoring
-elapsed seconds) is independent of worker count.
+Worker threads pull pairs from a shared queue and hand their records back; the
+calling thread alone writes the log.  Engines are deterministic for step
+budgets, so the record set (ignoring elapsed seconds) is independent of worker
+count.
 """
 
 from __future__ import annotations

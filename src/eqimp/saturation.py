@@ -6,9 +6,13 @@ maximal sides, and the goal's two ground sides are kept normalized under
 ordered rewriting.  The goal is proved when its sides meet; a saturated set
 with the goal still open refutes the implication.
 
-Every derived equation carries a conversion chain whose individual steps are
-instances of the original axiom, so a successful run yields a proof object
-that an independent replayer can check by matching and substitution alone.
+Every derived equation carries a derivation record: the records it came from
+and what was done to them (a rewrite's substitution and position, an
+overlap's unifier, peak and variable shift, reversal, concatenation, the
+final renaming).  Only when the goal's sides meet are the records the proof
+uses expanded into a conversion chain whose individual steps are instances of
+the original axiom, so a successful run yields a proof object that an
+independent replayer can check by matching and substitution alone.
 """
 
 from __future__ import annotations
@@ -211,16 +215,6 @@ def unify(s: Term, t: Term) -> Subst | None:
     return {index: deep(value) for index, value in subst.items()}
 
 
-def _shift_vars(term: Term, offset: int) -> Term:
-    match term:
-        case Var(index):
-            return Var(index + offset)
-        case Op(left, right):
-            return Op(_shift_vars(left, offset), _shift_vars(right, offset))
-        case _:
-            return term
-
-
 # --- proof steps --------------------------------------------------------------
 
 
@@ -259,22 +253,99 @@ def _subst_step(step: Step, subst: Subst) -> Step:
     )
 
 
-def _embed_step(step: Step, context: Term, pos: tuple[int, ...]) -> Step:
-    return Step(
-        pos=pos + step.pos,
-        subst=step.subst,
-        before=replace_at(context, pos, step.before),
-        after=replace_at(context, pos, step.after),
-        eq_id=step.eq_id,
-    )
+def _chain_terms(chain) -> list[Term]:
+    terms = []
+    for step in chain:
+        terms += (step.before, step.after, *(value for _, value in step.subst))
+    return terms
 
 
-def _flip_step(step: Step) -> Step:
-    return Step(step.pos, step.subst, step.after, step.before, step.eq_id)
+# --- derivation records ---------------------------------------------------------
 
 
-def _reverse_chain(chain: tuple[Step, ...]) -> tuple[Step, ...]:
-    return tuple(_flip_step(s) for s in reversed(chain))
+class Use(NamedTuple):
+    """A parent's chain as a child uses it: variables shifted up by shift,
+    then instantiated by subst, embedded at pos of context, and reversed when
+    flip is set."""
+
+    source: "Derivation"
+    flip: bool = False
+    subst: Subst | None = None
+    context: Term | None = None
+    pos: tuple[int, ...] = ()
+    shift: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class Derivation:
+    """How a conversion chain is obtained: its parts (axiom steps or uses of
+    parent chains) concatenated, then, when ends is set, its variables
+    renumbered by first occurrence across ends and the chain."""
+
+    parts: tuple[Step | Use, ...]
+    ends: tuple[Term, Term] | None = None
+
+
+def _reverse(uses: list[Use]) -> list[Use]:
+    return [use._replace(flip=not use.flip) for use in reversed(uses)]
+
+
+def _place(chain: tuple[Step, ...], use: Use) -> list[Step]:
+    steps = list(chain)
+    if use.shift:
+        shift = {i: Var(i + use.shift) for i in variables(*_chain_terms(steps))}
+        steps = [_subst_step(s, shift) for s in steps]
+    if use.subst is not None:
+        steps = [_subst_step(s, use.subst) for s in steps]
+    if use.pos:
+        context, pos = use.context, use.pos
+        steps = [
+            Step(
+                pos + s.pos,
+                s.subst,
+                replace_at(context, pos, s.before),
+                replace_at(context, pos, s.after),
+                s.eq_id,
+            )
+            for s in steps
+        ]
+    if use.flip:
+        steps = [Step(s.pos, s.subst, s.after, s.before, s.eq_id) for s in reversed(steps)]
+    return steps
+
+
+def expand(root: Derivation) -> tuple[Step, ...]:
+    """The conversion chain a derivation stands for.  Each record is expanded
+    once, parents first, from an explicit stack: derivations grow one level
+    per given clause, far deeper than the recursion limit on long runs."""
+    chains: dict[int, tuple[Step, ...]] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in chains:
+            stack.pop()
+            continue
+        parents = [
+            part.source
+            for part in node.parts
+            if isinstance(part, Use) and id(part.source) not in chains
+        ]
+        if parents:
+            stack.extend(parents)
+            continue
+        stack.pop()
+        chain: list[Step] = []
+        for part in node.parts:
+            if isinstance(part, Step):
+                chain.append(part)
+            else:
+                chain.extend(_place(chains[id(part.source)], part))
+        if node.ends is not None:
+            order = variables(*node.ends, *_chain_terms(chain))
+            rename = {old: Var(new) for new, old in enumerate(order)}
+            chain = [_subst_step(s, rename) for s in chain]
+        chains[id(node)] = tuple(chain)
+    return chains[id(root)]
 
 
 # --- rewriting ----------------------------------------------------------------
@@ -291,22 +362,22 @@ class ProcessedEq:
     lhs: Term
     rhs: Term
     orientation: Orientation
-    chain: tuple[Step, ...]  # axiom-level conversion lhs => rhs
+    derivation: Derivation  # of the axiom-level conversion lhs => rhs
 
     def directed(self):
-        """(source, target, chain source=>target) views usable for rewriting."""
+        """(source, target, use of the derivation source=>target) views
+        usable for rewriting."""
+        forward = (self.lhs, self.rhs, Use(self.derivation))
+        backward = (self.rhs, self.lhs, Use(self.derivation, flip=True))
         if self.orientation == Orientation.LEFT_TO_RIGHT:
-            return ((self.lhs, self.rhs, self.chain),)
+            return (forward,)
         if self.orientation == Orientation.RIGHT_TO_LEFT:
-            return ((self.rhs, self.lhs, _reverse_chain(self.chain)),)
-        return (
-            (self.lhs, self.rhs, self.chain),
-            (self.rhs, self.lhs, _reverse_chain(self.chain)),
-        )
+            return (backward,)
+        return (forward, backward)
 
 
 def _try_rewrite_root(term, rules):
-    for src, tgt, chain, ordered in rules:
+    for src, tgt, use, ordered in rules:
         subst = match(src, term)
         if subst is None:
             continue
@@ -322,40 +393,22 @@ def _try_rewrite_root(term, rules):
         if not ordered or extra:
             if kbo_compare(term, replacement) != GT:
                 continue
-        steps = tuple(_subst_step(s, subst) for s in chain)
-        return replacement, steps
+        return replacement, (), use._replace(subst=subst)
     return None
 
 
 def _rewrite_once(term, rules):
-    """Rewrite the innermost-leftmost redex; None when term is in normal form."""
+    """Rewrite the innermost-leftmost redex: (new term, position, rule use
+    under its matching substitution), or None when term is in normal form."""
     if isinstance(term, Op):
         hit = _rewrite_once(term.left, rules)
         if hit is not None:
-            new_left, steps = hit
-            return Op(new_left, term.right), tuple(
-                Step(
-                    (0,) + s.pos,
-                    s.subst,
-                    Op(s.before, term.right),
-                    Op(s.after, term.right),
-                    s.eq_id,
-                )
-                for s in steps
-            )
+            new_left, pos, use = hit
+            return Op(new_left, term.right), (0,) + pos, use
         hit = _rewrite_once(term.right, rules)
         if hit is not None:
-            new_right, steps = hit
-            return Op(term.left, new_right), tuple(
-                Step(
-                    (1,) + s.pos,
-                    s.subst,
-                    Op(term.left, s.before),
-                    Op(term.left, s.after),
-                    s.eq_id,
-                )
-                for s in steps
-            )
+            new_right, pos, use = hit
+            return Op(term.left, new_right), (1,) + pos, use
     return _try_rewrite_root(term, rules)
 
 
@@ -363,23 +416,23 @@ def _directed_rules(eqs: Iterable[ProcessedEq]):
     rules = []
     for eq in eqs:
         ordered = eq.orientation != Orientation.UNORIENTABLE
-        for src, tgt, chain in eq.directed():
-            rules.append((src, tgt, chain, ordered))
+        for src, tgt, use in eq.directed():
+            rules.append((src, tgt, use, ordered))
     return rules
 
 
 def _normalize_traced(term, rules, cap):
-    steps: list[Step] = []
-    rewrites = 0
+    """Normal form and the rule uses that convert term into it."""
+    uses: list[Use] = []
     while True:
         hit = _rewrite_once(term, rules)
         if hit is None:
-            return term, tuple(steps)
-        rewrites += 1
-        if rewrites > cap:
+            return term, uses
+        if len(uses) >= cap:
             raise ValueError(f"rewrite step cap {cap} exceeded")
-        term, new_steps = hit
-        steps.extend(new_steps)
+        new_term, pos, use = hit
+        uses.append(use._replace(context=term, pos=pos))
+        term = new_term
 
 
 _ORIENTATION_OF_CMP = {
@@ -398,9 +451,9 @@ def orient_equation(eq: Equation, eq_id: int | None = None) -> ProcessedEq | Non
         eq_id = eq.id if eq.id is not None else 1
     # canonical numbering makes first-occurrence order ascending
     identity = tuple((i, Var(i)) for i in variables(eq.lhs, eq.rhs))
-    chain = (Step((), identity, eq.lhs, eq.rhs, eq_id),)
+    derivation = Derivation((Step((), identity, eq.lhs, eq.rhs, eq_id),))
     cmp = kbo_compare(eq.lhs, eq.rhs)
-    return ProcessedEq(eq.lhs, eq.rhs, _ORIENTATION_OF_CMP[cmp], chain)
+    return ProcessedEq(eq.lhs, eq.rhs, _ORIENTATION_OF_CMP[cmp], derivation)
 
 
 def _coerce_processed(eqs) -> list[ProcessedEq]:
@@ -427,23 +480,17 @@ def normalize(
 # --- critical pairs -----------------------------------------------------------
 
 
-def _canonical_triple(left, right, chain):
-    """Renumber variables by first occurrence across the equation and then
-    its chain, so the equation part agrees with canonicalize."""
-    terms = [left, right]
-    for step in chain:
-        terms += (step.before, step.after, *(value for _, value in step.subst))
-    rename = {old: Var(new) for new, old in enumerate(variables(*terms))}
-    return (
-        apply_subst(left, rename),
-        apply_subst(right, rename),
-        tuple(_subst_step(s, rename) for s in chain),
-    )
+def _canonical_triple(left, right, parts):
+    """The canonical equation and a derivation of it from the concatenated
+    parts.  The chain's renaming starts from the same first-occurrence
+    numbering of the equation as canonicalize."""
+    eq = canonicalize(Equation(left, right))
+    return eq.lhs, eq.rhs, Derivation(tuple(parts), (left, right))
 
 
 def _overlaps(inner, outer, include_root, meter):
-    s_in, t_in, ch_in = inner
-    s_out, t_out, ch_out = outer
+    s_in, t_in, use_in = inner
+    s_out, t_out, use_out = outer
     found = []
     for pos, sub in positions(s_out):
         if meter.expired():
@@ -465,30 +512,20 @@ def _overlaps(inner, outer, include_root, meter):
         right = replace_at(peak, pos, apply_subst(t_in, mgu))
         if left == right:
             continue
-        back = _reverse_chain(tuple(_subst_step(s, mgu) for s in ch_out))
-        forward = tuple(
-            _embed_step(_subst_step(s, mgu), peak, pos) for s in ch_in
-        )
-        found.append(_canonical_triple(left, right, back + forward))
+        back = use_out._replace(flip=not use_out.flip, subst=mgu)
+        forward = use_in._replace(subst=mgu, context=peak, pos=pos)
+        found.append(_canonical_triple(left, right, (back, forward)))
     return found
 
 
 def _critical_pair_triples(e1: ProcessedEq, e2: ProcessedEq, meter: BudgetMeter):
     offset = max(variables(e1.lhs, e1.rhs), default=-1) + 1
+    shift = {i: Var(i + offset) for i in variables(e2.lhs, e2.rhs)}
     shifted = ProcessedEq(
-        _shift_vars(e2.lhs, offset),
-        _shift_vars(e2.rhs, offset),
+        apply_subst(e2.lhs, shift),
+        apply_subst(e2.rhs, shift),
         e2.orientation,
-        tuple(
-            Step(
-                s.pos,
-                tuple((i, _shift_vars(v, offset)) for i, v in s.subst),
-                _shift_vars(s.before, offset),
-                _shift_vars(s.after, offset),
-                s.eq_id,
-            )
-            for s in e2.chain
-        ),
+        Derivation((Use(e2.derivation, shift=offset),)),
     )
     triples = []
     for d1 in e1.directed():
@@ -542,7 +579,7 @@ def saturate(
     ax_id = axiom.id if axiom.id is not None else 1
     meter = BudgetMeter(budget)
 
-    queue: list[tuple[int, int, Term, Term, tuple[Step, ...]]] = []
+    queue: list[tuple[int, int, Term, Term, Derivation]] = []
     serial = 0
     seen: set[Equation] = set()
 
@@ -554,47 +591,48 @@ def saturate(
         seen.add(key)
         return True
 
-    def enqueue(left, right, chain):
+    def enqueue(left, right, derivation):
         nonlocal serial
         if not unseen(left, right):
             return
         heapq.heappush(
-            queue, (term_size(left) + term_size(right), serial, left, right, chain)
+            queue, (term_size(left) + term_size(right), serial, left, right, derivation)
         )
         serial += 1
 
     base = orient_equation(axiom, ax_id)
     if base is not None:
-        enqueue(base.lhs, base.rhs, base.chain)
+        enqueue(base.lhs, base.rhs, base.derivation)
 
     processed: list[ProcessedEq] = []
     rules = _directed_rules(processed)
     goal_left, goal_right = goal.left, goal.right
-    left_steps: list[Step] = []
-    right_steps: list[Step] = []
+    left_uses: list[Use] = []
+    right_uses: list[Use] = []
 
     while meter.tick():
-        goal_left, steps = _normalize_traced(goal_left, rules, cap)
-        left_steps.extend(steps)
-        goal_right, steps = _normalize_traced(goal_right, rules, cap)
-        right_steps.extend(steps)
+        goal_left, uses = _normalize_traced(goal_left, rules, cap)
+        left_uses.extend(uses)
+        goal_right, uses = _normalize_traced(goal_right, rules, cap)
+        right_uses.extend(uses)
         if goal_left == goal_right:
-            conversion = tuple(left_steps) + _reverse_chain(tuple(right_steps))
-            return SaturationOutcome(PROVED, Proof(conversion), meter.steps_used)
+            conversion = Derivation(tuple(left_uses + _reverse(right_uses)))
+            return SaturationOutcome(PROVED, Proof(expand(conversion)), meter.steps_used)
         if not queue:
             return SaturationOutcome(SATURATED, None, meter.steps_used)
 
-        _, _, left, right, chain = heapq.heappop(queue)
-        left2, steps_l = _normalize_traced(left, rules, cap)
-        right2, steps_r = _normalize_traced(right, rules, cap)
+        _, _, left, right, derivation = heapq.heappop(queue)
+        left2, uses_l = _normalize_traced(left, rules, cap)
+        right2, uses_r = _normalize_traced(right, rules, cap)
         if left2 == right2:
             continue
-        chain = _reverse_chain(steps_l) + chain + steps_r
-        left2, right2, chain = _canonical_triple(left2, right2, chain)
+        left2, right2, derivation = _canonical_triple(
+            left2, right2, _reverse(uses_l) + [Use(derivation)] + uses_r
+        )
         if (left2, right2) != (left, right) and not unseen(left2, right2):
             continue
         given = ProcessedEq(
-            left2, right2, _ORIENTATION_OF_CMP[kbo_compare(left2, right2)], chain
+            left2, right2, _ORIENTATION_OF_CMP[kbo_compare(left2, right2)], derivation
         )
 
         # the deadline checks below use no steps, so step-budgeted runs are
@@ -618,12 +656,12 @@ def saturate(
                 continue
             if l2 == r2:
                 continue
-            enqueue(l2, r2, _reverse_chain(sl) + other.chain + sr)
+            enqueue(l2, r2, Derivation(tuple(_reverse(sl) + [Use(other.derivation)] + sr)))
         processed = survivors + [given]
         rules = _directed_rules(processed)
 
-        for left3, right3, chain3 in new_triples:
-            enqueue(left3, right3, chain3)
+        for left3, right3, derivation3 in new_triples:
+            enqueue(left3, right3, derivation3)
 
     return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
 

@@ -3,7 +3,9 @@
 Variables are numbered; the surface syntax spells them x, y, z, w, u, v and
 then v6, v7, ... for higher indexes.  Constants are spelled a..f and then c6,
 c7, ...; they never appear in parsed equations, they enter when a conjecture
-is grounded and are read back only by parse_term (proof witnesses).
+is grounded and are read back only by parse_term (proof witnesses).  Names
+are ASCII and spelled exactly as printed (no leading zeros), so parsing and
+printing round-trip.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ def _name_index(name: str, letters: str, prefix: str) -> int | None:
     # inverse of var_name / const_name: letters below 6, prefix+digits above
     if len(name) == 1 and name in letters:
         return letters.index(name)
-    if name[:1] == prefix and name[1:].isdigit():
-        index = int(name[1:])
+    digits = name[1:]
+    if name[:1] == prefix and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        index = int(digits)
         if index >= 6:
             return index
     return None
@@ -105,9 +108,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("sym", ch, i + 1))
             i += 1
             continue
-        if ch.isalpha() and ch.islower():
+        if "a" <= ch <= "z":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("name", text[i:j], i + 1))
             i = j

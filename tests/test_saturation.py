@@ -1,4 +1,6 @@
+import pathlib
 import random
+import sys
 import time
 from collections import Counter
 
@@ -9,14 +11,17 @@ from eqimp.budget import Budget
 from eqimp.models import FOUND, find_countermodel
 from eqimp.saturation import (
     Cmp,
+    Derivation,
     OUT_OF_BUDGET,
     Orientation,
     PROVED,
     Proof,
     SATURATED,
     Step,
+    Use,
     apply_subst,
     critical_pairs,
+    expand,
     format_proof,
     kbo_compare,
     match,
@@ -33,11 +38,14 @@ from eqimp.terms import (
     Op,
     Var,
     canonicalize,
+    enumerate_pairs,
+    load_corpus,
     parse_equation,
     term_size,
 )
 from eqimp.tptp import GroundDiseq, skolemize
 
+DATA = pathlib.Path(__file__).parent / "data"
 A, B, C = Const(0), Const(1), Const(2)
 COMM = parse_equation("x*y=y*x")
 ASSOC = parse_equation("(x*y)*z=x*(y*z)")
@@ -547,3 +555,53 @@ def test_parse_proof_rejects_garbage():
         parse_proof("this is not a proof")
     with pytest.raises(ValueError, match="substitution"):
         parse_proof("step 1: rewrite at e with eq 1 under {q=a}: a*b ==> a")
+
+
+# --- pinned proofs ----------------------------------------------------------------------
+
+
+def _desk_proofs_text() -> str:
+    """Every proof the satur-500i stage (1,000 iterations) finds on its own over
+    the desk corpus, as format_proof text under a 'pair <lhs> <rhs>' header.
+    Each proof must replay against its premise."""
+    corpus = load_corpus(str(DATA / "desk.eqs"))
+    lines = []
+    for lhs, rhs in enumerate_pairs(corpus):
+        premise, goal = corpus.by_id(lhs), skolemize(corpus.by_id(rhs))
+        outcome = saturate(premise, goal, Budget.of_steps(1_000))
+        if outcome.status != PROVED:
+            continue
+        assert replay_proof(outcome.proof, premise, goal).accepted, (lhs, rhs)
+        lines.append(f"pair {lhs} {rhs}")
+        if outcome.proof.steps:
+            lines.append(format_proof(outcome.proof))
+    return "\n".join(lines) + "\n"
+
+
+def test_desk_proofs_match_the_pinned_text():
+    # search order, variable renaming and chain construction all show in the
+    # text, so any change to them fails here
+    expected = (DATA / "desk_satur500i_proofs.txt").read_text(encoding="utf-8")
+    got = _desk_proofs_text()
+    assert got.count("pair ") == 94
+    assert got == expected
+
+
+def test_long_chains_stay_cheap():
+    # the chains of this pair's derived equations grow steeply with each
+    # iteration (building all of them took 18 s at 10 iterations); only a
+    # proof's own chain may be built
+    axiom, goal = _goal("x*(y*(y*y))=y*x", "x=(y*(y*x))*(z*(y*x))")
+    started = time.monotonic()
+    outcome = saturate(axiom, goal, Budget.of_steps(10))
+    assert (outcome.status, outcome.steps_used) == (OUT_OF_BUDGET, 10)
+    assert time.monotonic() - started < 5.0
+
+
+def test_expansion_deeper_than_the_recursion_limit():
+    axiom = orient_equation(LEFT_PROJ)
+    derivation = axiom.derivation
+    for _ in range(2 * sys.getrecursionlimit() + 1):
+        derivation = Derivation((Use(derivation, flip=True),))
+    (step,) = expand(derivation)  # an odd number of reversals
+    assert (step.before, step.after) == (LEFT_PROJ.rhs, LEFT_PROJ.lhs)

@@ -75,6 +75,18 @@ def test_parse_rejects_unknown_variable():
         parse_equation("q*y=y")
 
 
+def test_parse_accepts_only_names_it_prints():
+    # a non-ASCII digit or a leading zero would print back as another name
+    with pytest.raises(ValueError, match="unknown token '٦' at column 2"):
+        parse_equation("v٦*x=x")
+    with pytest.raises(ValueError, match="unknown variable 'v06' at column 1"):
+        parse_equation("v06*x=x")
+    with pytest.raises(ValueError, match="unknown token 'é' at column 1"):
+        parse_equation("é*x=x")
+    with pytest.raises(ValueError, match="unknown name 'c07' at column 1"):
+        parse_term("c07")
+
+
 def test_parse_rejects_constants_in_equations():
     with pytest.raises(ValueError, match="unknown variable 'a' at column 1"):
         parse_equation("a*x=x")
