@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="decide every ordered pair with the staged schedule")
     p.add_argument("--eqs", required=True)
     p.add_argument("--out", required=True, help="results log (JSON lines)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--schedule", default="default", help="schedule file, or 'default'")
     p.add_argument("--resume", action="store_true", help="keep decided records, retry the rest")
 

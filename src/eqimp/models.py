@@ -118,17 +118,24 @@ def _run(prog, env, table, n):
     return stack[0], None, touched
 
 
+def _instances(eq: Equation, n: int):
+    """Postfix programs of both sides, and every assignment of the elements
+    0..n-1 to the equation's variables in lexicographic order."""
+    lhs: list = []
+    rhs: list = []
+    _compile(eq.lhs, lhs)
+    _compile(eq.rhs, rhs)
+    width = max(variables(eq.lhs, eq.rhs), default=-1) + 1
+    return lhs, rhs, list(itertools.product(range(n), repeat=width))
+
+
 def _search_size(n, premise, conclusion, meter):
     """Search all size-n tables modulo the least-number rule.
 
     Returns ('found', Countermodel) / ('exhausted', None) / ('budget', None).
     """
-    lhs_prog: list = []
-    rhs_prog: list = []
-    _compile(premise.lhs, lhs_prog)
-    _compile(premise.rhs, rhs_prog)
-    width = max(variables(premise.lhs, premise.rhs), default=-1) + 1
-    envs = list(itertools.product(range(n), repeat=width))
+    lhs_prog, rhs_prog, envs = _instances(premise, n)
+    goal_lhs, goal_rhs, goal_envs = _instances(conclusion, n)
 
     cells = n * n
     table = [-1] * cells
@@ -177,10 +184,12 @@ def _search_size(n, premise, conclusion, meter):
     pos = 0
     while pos >= 0:
         if pos == cells:
-            full = MagmaTable(n, tuple(table))
-            violation = verify_equation(full, conclusion)
-            if violation is not None and verify_equation(full, premise) is None:
-                return "found", Countermodel(full, violation)
+            # every premise instance was checked on the way down; the first
+            # conclusion instance that fails, in lexicographic order, is the
+            # countermodel's assignment
+            for env in goal_envs:
+                if _run(goal_lhs, env, table, n)[0] != _run(goal_rhs, env, table, n)[0]:
+                    return "found", Countermodel(MagmaTable(n, tuple(table)), env)
             pos -= 1
             table[pos] = -1
             continue

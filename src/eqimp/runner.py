@@ -7,10 +7,10 @@ written as one JSON-lines record per pair; a pair no stage decides is recorded
 as unsolved.  Runs are resumable: decided records from a previous log are kept
 and their pairs skipped, unsolved ones are retried.
 
-Worker threads pull pairs from a shared queue and hand their records back; the
-calling thread alone writes the log.  Engines are deterministic for step
-budgets, so the record set (ignoring elapsed seconds) is independent of worker
-count.
+With more than one worker, pairs are attempted in worker processes and their
+records come back in pair order; the calling process alone writes the log.
+Engines are deterministic for step budgets, so the log (ignoring elapsed
+seconds) is independent of worker count.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import queue
-import threading
 import time
 from dataclasses import dataclass
 
@@ -31,6 +29,7 @@ from .terms import Corpus, enumerate_pairs
 from .tptp import skolemize
 
 UNSOLVED = "unsolved"
+WORKER_DIED = "error:worker process died"
 
 ENGINE_FMB = "fmb"
 ENGINE_SATUR = "satur"
@@ -220,7 +219,9 @@ def attempt_pair(corpus: Corpus, lhs: int, rhs: int, schedule: Schedule) -> Resu
 
 def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRecord]:
     """Decide every ordered pair of the corpus; returns all records in
-    canonical (lhs, rhs) order and leaves the same set in the log file."""
+    canonical (lhs, rhs) order and leaves the same set in the log file.
+    With workers > 1 the workers are spawned processes, so a script that
+    calls this needs the usual ``if __name__ == "__main__":`` guard."""
     done: dict[tuple[int, int], ResultRecord] = {}
     if config.resume and os.path.exists(config.out_path):
         _, previous = load_results(config.out_path, drop_torn_tail=True)
@@ -232,40 +233,66 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
         _write_log(config.out_path, (done[pair] for pair in sorted(done)))
 
     todo = [pair for pair in enumerate_pairs(corpus) if pair not in done]
-    pending: queue.Queue[tuple[int, int] | None] = queue.Queue()
-    for pair in todo:
-        pending.put(pair)
-    finished: queue.Queue[ResultRecord | None] = queue.Queue()
-
-    def worker():
-        while True:
-            try:
-                pair = pending.get_nowait()
-            except queue.Empty:
-                finished.put(None)
-                return
-            finished.put(attempt_pair(corpus, pair[0], pair[1], schedule))
-
     mode = "a" if config.resume and os.path.exists(config.out_path) else "w"
     records = dict(done)
     with open(config.out_path, mode, encoding="utf-8") as handle:
-        workers = [
-            threading.Thread(target=worker, daemon=True) for _ in range(config.workers)
-        ]
-        for thread in workers:
-            thread.start()
-        stopped = 0
-        while stopped < len(workers):
-            record = finished.get()
-            if record is None:
-                stopped += 1
-                continue
+
+        def write(record: ResultRecord) -> None:
             records[(record.lhs, record.rhs)] = record
             handle.write(_record_line(record))
             handle.flush()
-        for thread in workers:
-            thread.join()
+
+        if config.workers == 1:
+            for lhs, rhs in todo:
+                write(attempt_pair(corpus, lhs, rhs, schedule))
+        else:
+            _run_pool(corpus, schedule, config.workers, todo, write)
     return [records[pair] for pair in sorted(records)]
+
+
+def _run_pool(corpus, schedule, workers, todo, write) -> None:
+    """Attempt the pairs in worker processes and write their records in todo
+    order.  A worker that dies breaks the pool: every pair still without a
+    record is written as unsolved, so a resumed run retries it."""
+    # imported here so that runs with one worker and the CLI's other commands
+    # never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    # spawned workers start from a fresh import: nothing of the caller's
+    # threads or locks is copied into them, on every platform alike
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=get_context("spawn"),
+        initializer=_init_worker,
+        initargs=(corpus, schedule),
+    )
+    written = 0
+    try:
+        for record in pool.map(_attempt, todo):
+            write(record)
+            written += 1
+    except BrokenProcessPool:
+        for lhs, rhs in todo[written:]:
+            write(ResultRecord(lhs, rhs, UNSOLVED, None, None, 0.0, WORKER_DIED))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# the corpus and schedule a worker process attempts pairs of, set once by
+# _init_worker when the process starts
+_job: tuple[Corpus, Schedule] | None = None
+
+
+def _init_worker(corpus: Corpus, schedule: Schedule) -> None:
+    global _job
+    _job = (corpus, schedule)
+
+
+def _attempt(pair: tuple[int, int]) -> ResultRecord:
+    corpus, schedule = _job
+    return attempt_pair(corpus, pair[0], pair[1], schedule)
 
 
 def load_results(

@@ -583,17 +583,17 @@ def saturate(
     serial = 0
     seen: set[Equation] = set()
 
-    def unseen(left, right) -> bool:
-        """Record the canonical equation; False when it or its flip was seen."""
-        key = canonicalize(Equation(left, right))
-        if key in seen or canonicalize(Equation(right, left)) in seen:
+    def unseen(key: Equation) -> bool:
+        """Record a canonical equation; False when it or its flip was seen."""
+        if key in seen or canonicalize(Equation(key.rhs, key.lhs)) in seen:
             return False
         seen.add(key)
         return True
 
-    def enqueue(left, right, derivation):
+    def enqueue(key, left, right, derivation):
+        """Queue left = right unless its canonical form key was seen."""
         nonlocal serial
-        if not unseen(left, right):
+        if not unseen(key):
             return
         heapq.heappush(
             queue, (term_size(left) + term_size(right), serial, left, right, derivation)
@@ -602,7 +602,7 @@ def saturate(
 
     base = orient_equation(axiom, ax_id)
     if base is not None:
-        enqueue(base.lhs, base.rhs, base.derivation)
+        enqueue(Equation(base.lhs, base.rhs), base.lhs, base.rhs, base.derivation)
 
     processed: list[ProcessedEq] = []
     rules = _directed_rules(processed)
@@ -629,7 +629,7 @@ def saturate(
         left2, right2, derivation = _canonical_triple(
             left2, right2, _reverse(uses_l) + [Use(derivation)] + uses_r
         )
-        if (left2, right2) != (left, right) and not unseen(left2, right2):
+        if (left2, right2) != (left, right) and not unseen(Equation(left2, right2)):
             continue
         given = ProcessedEq(
             left2, right2, _ORIENTATION_OF_CMP[kbo_compare(left2, right2)], derivation
@@ -656,12 +656,13 @@ def saturate(
                 continue
             if l2 == r2:
                 continue
-            enqueue(l2, r2, Derivation(tuple(_reverse(sl) + [Use(other.derivation)] + sr)))
+            derivation2 = Derivation(tuple(_reverse(sl) + [Use(other.derivation)] + sr))
+            enqueue(canonicalize(Equation(l2, r2)), l2, r2, derivation2)
         processed = survivors + [given]
         rules = _directed_rules(processed)
 
         for left3, right3, derivation3 in new_triples:
-            enqueue(left3, right3, derivation3)
+            enqueue(Equation(left3, right3), left3, right3, derivation3)
 
     return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
 

@@ -6,7 +6,13 @@ Exit-code contract under test: 0 success, 1 usage/validation/parse errors,
 
 import dataclasses
 import json
+import os
 import pathlib
+import re
+import signal
+import subprocess
+import sys
+import time
 
 from eqimp.cli import main
 from eqimp.models import parse_countermodel, format_countermodel, Countermodel, MagmaTable
@@ -15,6 +21,7 @@ from eqimp.terms import load_corpus
 from eqimp.tptp import export_pair
 
 DESK = str(pathlib.Path(__file__).parent / "data" / "desk.eqs")
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
 MINI_SCHEDULE = "mini-fmb fmb steps 5000 max_size=4\nmini-satur satur steps 500\n"
 
@@ -103,6 +110,53 @@ def test_run_default_schedule_and_jobs(tmp_path, capsys):
     log = str(tmp_path / "out.jsonl")
     assert main(["run", "--eqs", eqs, "--out", log, "--jobs", "2"]) == 0
     assert "2 pairs: 2 decided" in capsys.readouterr().out
+
+
+def _python(*args, **kwargs):
+    """Popen of a fresh interpreter that imports eqimp from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def test_cli_import_loads_no_process_pool():
+    # cold starts of every command stay lean; only run --jobs N > 1 needs it
+    code = "import sys, eqimp.cli; print(sorted(m for m in sys.modules if m in {0!r}))"
+    probe = _python(
+        "-c", code.format({"multiprocessing", "concurrent.futures.process"}),
+        stdout=subprocess.PIPE, text=True,
+    )
+    out, _ = probe.communicate(timeout=60)
+    assert probe.returncode == 0
+    assert out.strip() == "[]"
+
+
+def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, capsys):
+    sched = _write(tmp_path / "sched.txt", MINI_SCHEDULE)
+    log = tmp_path / "killed.jsonl"
+    argv = ["run", "--eqs", DESK, "--out", str(log), "--schedule", sched, "--jobs", "2"]
+    # its own session, so the kill reaches the workers as well
+    child = _python(
+        "-m", "eqimp.cli", *argv,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (log.exists() and b"\n" in log.read_bytes()):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    assert len(log.read_bytes().splitlines()) < 380  # cut short
+
+    assert main([*argv, "--resume"]) == 0
+    reference = str(tmp_path / "reference.jsonl")
+    assert main(["run", "--eqs", DESK, "--out", reference, "--schedule", sched]) == 0
+    assert "380 pairs" in capsys.readouterr().out
+    strip = lambda text: sorted(re.sub(r'"seconds": [^,]+, ', "", text).splitlines())
+    assert strip(log.read_text()) == strip(pathlib.Path(reference).read_text())
 
 
 def test_run_bad_schedule_file_exits_1(tmp_path, capsys):

@@ -8,6 +8,9 @@ of all multiplication tables up to size 3.
 
 import dataclasses
 import json
+import os
+import re
+import threading
 
 import pytest
 
@@ -317,6 +320,72 @@ def test_worker_count_does_not_change_results(tmp_path):
     parallel = run(corpus, _mini_schedule(), RunConfig(str(tmp_path / "b.jsonl"), workers=8))
     strip = lambda rs: [dataclasses.replace(r, seconds=0.0) for r in rs]
     assert strip(serial) == strip(parallel)
+
+
+def test_log_lines_do_not_depend_on_worker_count(tmp_path):
+    corpus = _corpus(tmp_path, ["x = x", "x*y = y*x", "x*y = x", "x*x = x", "x = y"])
+    logs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.jsonl"
+        run(corpus, _mini_schedule(), RunConfig(str(out), workers=workers))
+        logs.append(re.sub(r'"seconds": [^,]+, ', "", out.read_text()))
+    assert logs[0] == logs[1]
+    assert logs[0].count("\n") == 20
+
+
+def _returns_within(seconds, func, *args):
+    """func(*args), failing the test instead of hanging when it does not
+    return in time."""
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = func(*args)
+        except BaseException as err:  # noqa: BLE001 - re-raised below
+            outcome["error"] = err
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+DYING_PAIR = (3, 2)
+
+
+def _attempt_or_die(pair):
+    # sent to the spawned workers by reference; their fresh import of
+    # eqimp.runner still holds the real _attempt
+    if pair == DYING_PAIR:
+        os._exit(1)
+    return runner._attempt(pair)
+
+
+def test_dead_worker_becomes_unsolved_records_that_resume_retries(tmp_path, monkeypatch):
+    corpus = _corpus(tmp_path, ["x = x", "x*y = y*x", "x*y = x", "x*x = x"])
+    out = str(tmp_path / "out.jsonl")
+    monkeypatch.setattr(runner, "_attempt", _attempt_or_die)
+    records = _returns_within(60, run, corpus, _mini_schedule(), RunConfig(out, workers=2))
+    monkeypatch.undo()
+    pairs = sorted(enumerate_pairs(corpus))
+    assert [(record.lhs, record.rhs) for record in records] == pairs
+    _, logged = load_results(out)  # rejects a second record for any pair
+    assert sorted(logged, key=lambda r: (r.lhs, r.rhs)) == records
+    died = {(r.lhs, r.rhs): r for r in records if r.witness == runner.WORKER_DIED}
+    assert DYING_PAIR in died
+    assert all(r.status == UNSOLVED and r.method is None for r in died.values())
+
+    resumed = _returns_within(
+        60, run, corpus, _mini_schedule(), RunConfig(out, workers=2, resume=True)
+    )
+    serial = run(corpus, _mini_schedule(), RunConfig(str(tmp_path / "serial.jsonl")))
+    strip = lambda rs: [dataclasses.replace(r, seconds=0.0) for r in rs]
+    assert strip(resumed) == strip(serial)
+    _, logged = load_results(out)
+    assert len(logged) == len(pairs)
 
 
 # --- the results log ---------------------------------------------------------
