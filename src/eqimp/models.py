@@ -5,12 +5,19 @@ the premise holds under every assignment while the conclusion fails under at
 least one.  The search fills table cells in row-major order, breaks value
 symmetry with the least-number rule, and prunes any partial table that
 already violates a premise instance.
+
+Pruning looks at the premise alone, so one search serves every conclusion of a
+premise: each complete table is checked against the conclusions not yet
+refuted, and each conclusion's outcome is the one a search for it alone gives.
+The conclusions of one search share its budget; under a wall budget they
+share one deadline.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from .budget import OUT_OF_BUDGET, Budget, BudgetMeter, UNLIMITED
 from .terms import Equation, Op, Term, Var, var_name, variables
@@ -58,6 +65,7 @@ class SearchOutcome:
     countermodel: Countermodel | None
     max_size_searched: int
     steps_used: int
+    seconds: float = field(compare=False)  # from the search's start until decided
 
 
 def eval_term(term: Term, table: MagmaTable, env) -> int:
@@ -118,24 +126,37 @@ def _run(prog, env, table, n):
     return stack[0], None, touched
 
 
-def _instances(eq: Equation, n: int):
-    """Postfix programs of both sides, and every assignment of the elements
-    0..n-1 to the equation's variables in lexicographic order."""
+def _programs(eq: Equation):
+    """Postfix programs of both sides and the number of variables."""
     lhs: list = []
     rhs: list = []
     _compile(eq.lhs, lhs)
     _compile(eq.rhs, rhs)
-    width = max(variables(eq.lhs, eq.rhs), default=-1) + 1
-    return lhs, rhs, list(itertools.product(range(n), repeat=width))
+    return lhs, rhs, max(variables(eq.lhs, eq.rhs), default=-1) + 1
 
 
-def _search_size(n, premise, conclusion, meter):
-    """Search all size-n tables modulo the least-number rule.
+def _search_size(n, premise, conclusions, meter, found):
+    """Walk all size-n tables modulo the least-number rule, pruned on the
+    premise alone, and check the conclusions at each complete table.
 
-    Returns ('found', Countermodel) / ('exhausted', None) / ('budget', None).
+    premise and the values of conclusions are _programs triples, keyed by the
+    index of a conclusion still open.  The first complete table on which a
+    conclusion fails is reported as found(index, Countermodel), and the
+    conclusion is not checked again.  Returns False when the budget runs
+    out, True once the walk ends or every conclusion has been found.
     """
-    lhs_prog, rhs_prog, envs = _instances(premise, n)
-    goal_lhs, goal_rhs, goal_envs = _instances(conclusion, n)
+    # every assignment of the elements 0..n-1 to w variables, in
+    # lexicographic order; one list per width serves every equation
+    assignments: dict[int, list] = {}
+
+    def envs_of(width: int) -> list:
+        if width not in assignments:
+            assignments[width] = list(itertools.product(range(n), repeat=width))
+        return assignments[width]
+
+    lhs_prog, rhs_prog, width = premise
+    envs = envs_of(width)
+    goals = [(index, lhs, rhs, envs_of(w)) for index, (lhs, rhs, w) in conclusions.items()]
 
     cells = n * n
     table = [-1] * cells
@@ -169,7 +190,7 @@ def _search_size(n, premise, conclusion, meter):
         if not recheck(idx, None):
             # a premise instance fails with no table lookups at all, so no
             # table of this size can satisfy the premise
-            return "exhausted", None
+            return True
 
     # least-number rule: a value v > 0 is allowed only when v-1 is already
     # designated by an earlier cell value or by an element index in play
@@ -187,9 +208,17 @@ def _search_size(n, premise, conclusion, meter):
             # every premise instance was checked on the way down; the first
             # conclusion instance that fails, in lexicographic order, is the
             # countermodel's assignment
-            for env in goal_envs:
-                if _run(goal_lhs, env, table, n)[0] != _run(goal_rhs, env, table, n)[0]:
-                    return "found", Countermodel(MagmaTable(n, tuple(table)), env)
+            refuted = set()
+            for index, goal_lhs, goal_rhs, goal_envs in goals:
+                for env in goal_envs:
+                    if _run(goal_lhs, env, table, n)[0] != _run(goal_rhs, env, table, n)[0]:
+                        found(index, Countermodel(MagmaTable(n, tuple(table)), env))
+                        refuted.add(index)
+                        break
+            if refuted:
+                goals = [goal for goal in goals if goal[0] not in refuted]
+                if not goals:
+                    return True
             pos -= 1
             table[pos] = -1
             continue
@@ -205,7 +234,7 @@ def _search_size(n, premise, conclusion, meter):
             continue
         next_val[pos] = value + 1
         if not meter.tick():
-            return "budget", None
+            return False
         table[pos] = value
         watchers = watch[pos]
         watch[pos] = []
@@ -220,7 +249,54 @@ def _search_size(n, premise, conclusion, meter):
         pos += 1
         if pos < cells:
             next_val[pos] = 0
-    return "exhausted", None
+    return True
+
+
+def find_countermodels(
+    premise: Equation,
+    conclusions,
+    max_size: int = 6,
+    budget: Budget = UNLIMITED,
+) -> list[SearchOutcome]:
+    """One outcome per conclusion, in order, from a single search of the
+    premise's models over sizes 2..max_size; size 1 never separates a pair.
+
+    The search is pruned on the premise alone and every complete table is
+    checked against each conclusion not yet refuted, so each outcome equals
+    the one a search for its conclusion alone gives (step counts included).
+    One meter serves the whole search: a step budget ends all conclusions
+    still open at the same step, a wall budget at the same deadline.  An
+    outcome's seconds run from the start until its conclusion was decided.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    started = time.monotonic()
+    meter = BudgetMeter(budget)
+    open_ = {index: _programs(eq) for index, eq in enumerate(conclusions)}
+    outcomes: list[SearchOutcome | None] = [None] * len(open_)
+
+    def close(index, status, model, searched):
+        del open_[index]
+        outcomes[index] = SearchOutcome(
+            status, model, searched, meter.steps_used, time.monotonic() - started
+        )
+
+    def found(index, model):
+        close(index, FOUND, model, model.table.size)
+
+    premise_programs = _programs(premise)
+    searched = 1
+    for n in range(2, max_size + 1):
+        if not open_:
+            break
+        if not _search_size(n, premise_programs, open_, meter, found):
+            for index in list(open_):
+                close(index, OUT_OF_BUDGET, None, searched)
+            break
+        searched = n
+    for index in list(open_):
+        close(index, EXHAUSTED, None, searched)
+    return outcomes
 
 
 def find_countermodel(
@@ -230,18 +306,7 @@ def find_countermodel(
     budget: Budget = UNLIMITED,
 ) -> SearchOutcome:
     """Search sizes 2..max_size in order; size 1 never separates a pair."""
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    meter = BudgetMeter(budget)
-    searched = 1
-    for n in range(2, max_size + 1):
-        status, model = _search_size(n, premise, conclusion, meter)
-        if status == "found":
-            return SearchOutcome(FOUND, model, n, meter.steps_used)
-        if status == "budget":
-            return SearchOutcome(OUT_OF_BUDGET, None, searched, meter.steps_used)
-        searched = n
-    return SearchOutcome(EXHAUSTED, None, searched, meter.steps_used)
+    return find_countermodels(premise, (conclusion,), max_size, budget)[0]
 
 
 # --- witness serialization ---------------------------------------------------

@@ -2,15 +2,18 @@
 
 Each pair walks the schedule's stages in order until one decides it: a model
 finder stage refutes by exhibiting a countermodel, a saturation stage proves
-(with a replayable proof) or refutes by saturating.  The deciding attempt is
-written as one JSON-lines record per pair; a pair no stage decides is recorded
-as unsolved.  Runs are resumable: decided records from a previous log are kept
-and their pairs skipped, unsolved ones are retried.
+(with a replayable proof) or refutes by saturating.  The pairs that share a
+premise walk the stages together: a model finder stage searches the premise's
+models once for all of its conclusions still open, a saturation stage attempts
+each pair alone.  The deciding attempt is written as one JSON-lines record per
+pair; a pair no stage decides is recorded as unsolved.  Runs are resumable:
+decided records from a previous log are kept and their pairs skipped, unsolved
+ones are retried.
 
-With more than one worker, pairs are attempted in worker processes and their
-records come back in pair order; the calling process alone writes the log.
-Engines are deterministic for step budgets, so the log (ignoring elapsed
-seconds) is independent of worker count.
+With more than one worker, each premise with its open pairs is one task for a
+pool of worker processes; the records come back in pair order and the calling
+process alone writes the log.  Engines are deterministic for step budgets, so
+the log (ignoring elapsed seconds) is independent of worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .closure import PROVEN, REFUTED, StatusEntry, StatusMap, propagate
-from .models import FOUND, find_countermodel, format_countermodel
+from .models import FOUND, find_countermodels, format_countermodel
+from .models import find_countermodel  # noqa: F401 - the benchmark's traced pass wraps it here
 from .saturation import PROVED, SATURATED, format_proof, saturate
 from .terms import Corpus, enumerate_pairs
 from .tptp import skolemize
@@ -181,40 +185,77 @@ def _record_from_dict(payload: dict, where: str) -> ResultRecord:
 
 
 def attempt_pair(corpus: Corpus, lhs: int, rhs: int, schedule: Schedule) -> ResultRecord:
-    """Run stages in order until one decides the pair; crashes inside an
-    engine become an unsolved record carrying the error note."""
+    """Run stages in order until one decides the pair (see attempt_premise)."""
+    return attempt_premise(corpus, lhs, (rhs,), schedule)[0]
+
+
+def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[ResultRecord]:
+    """Run stages in order on the pairs (lhs, rhs) for each rhs until one
+    decides it; returns their records in rhss order.  A model finder stage
+    searches the premise's models once for all conclusions still open, a
+    saturation stage attempts each open pair alone.  Crashes inside an engine
+    become unsolved records carrying the error note."""
     premise = corpus.by_id(lhs)
-    conclusion = corpus.by_id(rhs)
-    total = 0.0
+    records: dict[int, ResultRecord] = {}
+    spent = dict.fromkeys(rhss, 0.0)  # seconds of the stages that left a pair open
     for index, stage in enumerate(schedule.stages, 1):
-        started = time.monotonic()
-        try:
-            if stage.engine == ENGINE_FMB:
-                outcome = find_countermodel(
-                    premise, conclusion, max_size=stage.max_size, budget=stage.budget
-                )
-                decided = None
-                if outcome.status == FOUND:
-                    decided = (REFUTED, format_countermodel(outcome.countermodel))
-            else:
-                outcome = saturate(premise, skolemize(conclusion), stage.budget)
-                decided = None
-                if outcome.status == PROVED:
-                    decided = (PROVEN, format_proof(outcome.proof))
-                elif outcome.status == SATURATED:
-                    # no countermodel in hand; the saturated set refutes
-                    decided = (REFUTED, "saturation")
-        except Exception as err:  # noqa: BLE001 - worker crash becomes a record
-            elapsed = time.monotonic() - started
-            return ResultRecord(
-                lhs, rhs, UNSOLVED, stage.name, index, total + elapsed, f"error:{err}"
-            )
-        elapsed = time.monotonic() - started
-        total += elapsed
-        if decided is not None:
+        open_rhss = [rhs for rhs in rhss if rhs not in records]
+        if not open_rhss:
+            break
+        if stage.engine == ENGINE_FMB:
+            results = _fmb_stage(premise, [corpus.by_id(rhs) for rhs in open_rhss], stage)
+        else:
+            results = [_satur_stage(premise, corpus.by_id(rhs), stage) for rhs in open_rhss]
+        for rhs, (decided, seconds) in zip(open_rhss, results):
+            if decided is None:
+                spent[rhs] += seconds
+                continue
             status, witness = decided
-            return ResultRecord(lhs, rhs, status, stage.name, index, elapsed, witness)
-    return ResultRecord(lhs, rhs, UNSOLVED, None, None, total, None)
+            if status == UNSOLVED:  # the engine crashed
+                seconds += spent[rhs]
+            records[rhs] = ResultRecord(lhs, rhs, status, stage.name, index, seconds, witness)
+    return [
+        records.get(rhs) or ResultRecord(lhs, rhs, UNSOLVED, None, None, spent[rhs], None)
+        for rhs in rhss
+    ]
+
+
+def _fmb_stage(premise, conclusions, stage: MethodSpec) -> list:
+    """(decision or None, seconds) per conclusion from one shared search.  A
+    refuted conclusion's seconds run from the stage's start until its
+    countermodel was found; every other conclusion gets the whole stage's."""
+    started = time.monotonic()
+    try:
+        outcomes = find_countermodels(premise, conclusions, stage.max_size, stage.budget)
+        decisions = [
+            (REFUTED, format_countermodel(outcome.countermodel))
+            if outcome.status == FOUND
+            else None
+            for outcome in outcomes
+        ]
+    except Exception as err:  # noqa: BLE001 - a crash becomes a record
+        return [((UNSOLVED, f"error:{err}"), time.monotonic() - started)] * len(conclusions)
+    elapsed = time.monotonic() - started
+    return [
+        (decided, outcome.seconds if decided else elapsed)
+        for decided, outcome in zip(decisions, outcomes)
+    ]
+
+
+def _satur_stage(premise, conclusion, stage: MethodSpec) -> tuple:
+    """(decision or None, seconds) of one saturation attempt."""
+    started = time.monotonic()
+    decided = None
+    try:
+        outcome = saturate(premise, skolemize(conclusion), stage.budget)
+        if outcome.status == PROVED:
+            decided = (PROVEN, format_proof(outcome.proof))
+        elif outcome.status == SATURATED:
+            # no countermodel in hand; the saturated set refutes
+            decided = (REFUTED, "saturation")
+    except Exception as err:  # noqa: BLE001 - a crash becomes a record
+        decided = (UNSOLVED, f"error:{err}")
+    return decided, time.monotonic() - started
 
 
 def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRecord]:
@@ -233,6 +274,11 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
         _write_log(config.out_path, (done[pair] for pair in sorted(done)))
 
     todo = [pair for pair in enumerate_pairs(corpus) if pair not in done]
+    # one task per premise: its pairs, in pair order
+    tasks = [
+        (lhs, tuple(rhs for _, rhs in pairs))
+        for lhs, pairs in itertools.groupby(todo, key=lambda pair: pair[0])
+    ]
     mode = "a" if config.resume and os.path.exists(config.out_path) else "w"
     records = dict(done)
     with open(config.out_path, mode, encoding="utf-8") as handle:
@@ -243,17 +289,18 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
             handle.flush()
 
         if config.workers == 1:
-            for lhs, rhs in todo:
-                write(attempt_pair(corpus, lhs, rhs, schedule))
+            for lhs, rhss in tasks:
+                for record in attempt_premise(corpus, lhs, rhss, schedule):
+                    write(record)
         else:
-            _run_pool(corpus, schedule, config.workers, todo, write)
+            _run_pool(corpus, schedule, config.workers, tasks, write)
     return [records[pair] for pair in sorted(records)]
 
 
-def _run_pool(corpus, schedule, workers, todo, write) -> None:
-    """Attempt the pairs in worker processes and write their records in todo
-    order.  A worker that dies breaks the pool: every pair still without a
-    record is written as unsolved, so a resumed run retries it."""
+def _run_pool(corpus, schedule, workers, tasks, write) -> None:
+    """Attempt the premise tasks in worker processes and write their records
+    in task order.  A worker that dies breaks the pool: every pair still
+    without a record is written as unsolved, so a resumed run retries it."""
     # imported here so that runs with one worker and the CLI's other commands
     # never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -270,12 +317,14 @@ def _run_pool(corpus, schedule, workers, todo, write) -> None:
     )
     written = 0
     try:
-        for record in pool.map(_attempt, todo):
-            write(record)
+        for group in pool.map(_attempt, tasks):
+            for record in group:
+                write(record)
             written += 1
     except BrokenProcessPool:
-        for lhs, rhs in todo[written:]:
-            write(ResultRecord(lhs, rhs, UNSOLVED, None, None, 0.0, WORKER_DIED))
+        for lhs, rhss in tasks[written:]:
+            for rhs in rhss:
+                write(ResultRecord(lhs, rhs, UNSOLVED, None, None, 0.0, WORKER_DIED))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -286,13 +335,26 @@ _job: tuple[Corpus, Schedule] | None = None
 
 
 def _init_worker(corpus: Corpus, schedule: Schedule) -> None:
+    import threading
+
     global _job
     _job = (corpus, schedule)
+    # the pool's call queue never closes when the parent is killed outright,
+    # so a worker would otherwise wait on it forever
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
-def _attempt(pair: tuple[int, int]) -> ResultRecord:
+def _exit_with_parent() -> None:
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    wait([parent_process().sentinel])
+    os._exit(1)
+
+
+def _attempt(task: tuple[int, tuple[int, ...]]) -> list[ResultRecord]:
     corpus, schedule = _job
-    return attempt_pair(corpus, pair[0], pair[1], schedule)
+    return attempt_premise(corpus, task[0], task[1], schedule)
 
 
 def load_results(

@@ -159,6 +159,39 @@ def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, caps
     assert strip(log.read_text()) == strip(pathlib.Path(reference).read_text())
 
 
+def test_workers_exit_when_the_run_alone_is_killed(tmp_path):
+    sched = _write(tmp_path / "sched.txt", MINI_SCHEDULE)
+    log = tmp_path / "orphans.jsonl"
+    argv = ["run", "--eqs", DESK, "--out", str(log), "--schedule", sched, "--jobs", "2"]
+    child = _python(
+        "-m", "eqimp.cli", *argv,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    group = child.pid  # the run leads its own session, workers included
+    try:
+        deadline = time.monotonic() + 60
+        while not (log.exists() and b"\n" in log.read_bytes()):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        os.kill(child.pid, signal.SIGKILL)  # the run only, not its workers
+        child.wait(timeout=60)
+        assert len(log.read_bytes().splitlines()) < 380  # cut short
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(group, 0)
+            except ProcessLookupError:
+                break  # no process of the run is left
+            assert time.monotonic() < deadline, "workers outlived the killed run"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(group, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait(timeout=60)
+
+
 def test_run_bad_schedule_file_exits_1(tmp_path, capsys):
     eqs = _write(tmp_path / "one.eqs", "x*y = y*x\nx = x\n")
     sched = _write(tmp_path / "sched.txt", "s1 fmb bogus 100\n")

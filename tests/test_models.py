@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -19,15 +20,17 @@ from eqimp.models import (
     MagmaTable,
     eval_term,
     find_countermodel,
+    find_countermodels,
     format_countermodel,
     parse_countermodel,
     verify_equation,
 )
-from eqimp.terms import Op, Var, parse_equation
+from eqimp.terms import Op, Var, load_corpus, parse_equation
 
 # The brute-force oracle lives in conftest; the search is checked against it,
 # never against itself.
 
+DATA = pathlib.Path(__file__).parent / "data"
 LEFT_PROJECTION = MagmaTable.from_rows([[0, 0], [1, 1]])
 COMM = parse_equation("x*y=y*x")
 ASSOC = parse_equation("(x*y)*z=x*(y*z)")
@@ -182,6 +185,51 @@ def test_monotonicity_in_max_size():
         if small.status == FOUND:
             bigger = find_countermodel(premise, conclusion, max_size=3)
             assert bigger.status == FOUND
+
+
+def test_one_search_serves_several_conclusions():
+    # the shared search decides each conclusion exactly as its own search does
+    premise = parse_equation("x*y=u*w")
+    conclusions = [COMM, parse_equation("x*y=x"), ASSOC, parse_equation("x*x=y")]
+    for budget in (Budget.of_steps(40), Budget.of_steps(5_000)):
+        shared = find_countermodels(premise, conclusions, max_size=4, budget=budget)
+        alone = [find_countermodel(premise, c, max_size=4, budget=budget) for c in conclusions]
+        assert shared == alone
+    assert [o.status for o in shared] == [EXHAUSTED, FOUND, EXHAUSTED, FOUND]
+    assert find_countermodels(premise, [], max_size=4) == []
+
+
+def _desk_outcomes_text(order) -> str:
+    """Status, steps, largest size searched and countermodel text of every
+    desk pair at 50,000 steps and max size 6, from one search per premise
+    over its conclusions in the given order ('pair <lhs> <rhs>' headers)."""
+    corpus = load_corpus(str(DATA / "desk.eqs"))
+    ids = range(1, corpus.count + 1)
+    lines = []
+    for lhs in ids:
+        rhss = order([rhs for rhs in ids if rhs != lhs])
+        outcomes = find_countermodels(
+            corpus.by_id(lhs), [corpus.by_id(rhs) for rhs in rhss], 6, Budget.of_steps(50_000)
+        )
+        by_rhs = dict(zip(rhss, outcomes))
+        for rhs in sorted(by_rhs):
+            o = by_rhs[rhs]
+            lines.append(
+                f"pair {lhs} {rhs} {o.status} steps={o.steps_used} size={o.max_size_searched}"
+            )
+            if o.status == FOUND:
+                lines.append(format_countermodel(o.countermodel))
+    return "\n".join(lines) + "\n"
+
+
+def test_desk_outcomes_match_the_pinned_text():
+    # generated one pair at a time by the search that served a single
+    # conclusion; neither sharing the search nor the order of the
+    # conclusions may change an outcome
+    expected = (DATA / "desk_fmb500i_outcomes.txt").read_text(encoding="utf-8")
+    assert expected.count("pair ") == 380
+    assert _desk_outcomes_text(list) == expected
+    assert _desk_outcomes_text(lambda rhss: rhss[::-1]) == expected
 
 
 # --- witness serialization ---------------------------------------------------

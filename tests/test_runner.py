@@ -29,6 +29,7 @@ from eqimp.runner import (
     RunConfig,
     Schedule,
     attempt_pair,
+    attempt_premise,
     default_schedule,
     load_results,
     load_schedule,
@@ -203,11 +204,26 @@ def test_attempt_crash_becomes_error_record(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("eqimp.runner.find_countermodel", boom)
+    monkeypatch.setattr("eqimp.runner.find_countermodels", boom)
     fmb_only = Schedule((MethodSpec("only-fmb", ENGINE_FMB, Budget.of_steps(10)),))
     record = attempt_pair(corpus, 1, 2, fmb_only)
     assert record.status == UNSOLVED
     assert record.witness == "error:boom"
+
+
+def test_premise_group_records_and_their_seconds(tmp_path):
+    # one shared search serves both conclusions: commutativity has no finite
+    # countermodel under the all-products-equal premise, x*y = x fails at size 2
+    corpus = _corpus(tmp_path, ["x*y = u*w", "x*y = y*x", "x*y = x"])
+    fmb_only = Schedule((MethodSpec("only-fmb", ENGINE_FMB, Budget.of_steps(5_000), 4),))
+    searched, refuted = attempt_premise(corpus, 1, (2, 3), fmb_only)
+    assert (searched.status, refuted.status) == (UNSOLVED, REFUTED)
+    strip = lambda r: dataclasses.replace(r, seconds=0.0)
+    assert strip(searched) == strip(attempt_pair(corpus, 1, 2, fmb_only))
+    assert strip(refuted) == strip(attempt_pair(corpus, 1, 3, fmb_only))
+    # a refutation found early is timed until it was found, not until the
+    # shared search ended
+    assert refuted.seconds < searched.seconds
 
 
 def test_wall_budget_is_a_hard_stop(tmp_path):
@@ -356,12 +372,13 @@ def _returns_within(seconds, func, *args):
 DYING_PAIR = (3, 2)
 
 
-def _attempt_or_die(pair):
+def _attempt_or_die(task):
     # sent to the spawned workers by reference; their fresh import of
-    # eqimp.runner still holds the real _attempt
-    if pair == DYING_PAIR:
+    # eqimp.runner still holds the real _attempt.  A task is a premise with
+    # its conclusions, so the worker dies on the dying pair's premise
+    if task[0] == DYING_PAIR[0]:
         os._exit(1)
-    return runner._attempt(pair)
+    return runner._attempt(task)
 
 
 def test_dead_worker_becomes_unsolved_records_that_resume_retries(tmp_path, monkeypatch):
