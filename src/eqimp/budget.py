@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -18,8 +19,8 @@ class Budget:
     def __post_init__(self):
         if self.steps is not None and self.steps < 0:
             raise ValueError("step budget must be non-negative")
-        if self.seconds is not None and self.seconds < 0:
-            raise ValueError("wall budget must be non-negative")
+        if self.seconds is not None and not 0 <= self.seconds < math.inf:
+            raise ValueError("wall budget must be finite and non-negative")
 
     @staticmethod
     def of_steps(steps: int) -> "Budget":
@@ -43,8 +44,8 @@ class BudgetMeter:
             None if budget.seconds is None else time.monotonic() + budget.seconds
         )
 
-    def tick(self, n: int = 1) -> bool:
-        self.steps_used += n
+    def tick(self) -> bool:
+        self.steps_used += 1
         if self.budget.steps is not None and self.steps_used > self.budget.steps:
             self.steps_used = self.budget.steps
             return False

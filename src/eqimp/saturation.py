@@ -29,8 +29,10 @@ from .terms import (
     Const,
     Equation,
     Op,
+    Subst,
     Term,
     Var,
+    apply_subst,
     canonicalize,
     format_term,
     parse_term,
@@ -76,10 +78,6 @@ def _shape(term: Term) -> tuple[int, tuple[tuple[int, int], ...]]:
     return size, tuple(sorted(var_counts.items()))
 
 
-def is_ground(term: Term) -> bool:
-    return not _shape(term)[1]
-
-
 def _head_rank(term: Term) -> tuple[int, int]:
     # precedence: a < b < c < ... < op
     if isinstance(term, Const):
@@ -120,19 +118,7 @@ def kbo_compare(s: Term, t: Term) -> Cmp:
     return INC
 
 
-# --- substitutions, matching, unification ------------------------------------
-
-Subst = dict[int, Term]
-
-
-def apply_subst(term: Term, subst: Subst) -> Term:
-    match term:
-        case Var(index):
-            return subst.get(index, term)
-        case Op(left, right):
-            return Op(apply_subst(left, subst), apply_subst(right, subst))
-        case _:
-            return term
+# --- matching, unification -----------------------------------------------------
 
 
 def match(pattern: Term, subject: Term) -> Subst | None:
@@ -351,17 +337,17 @@ def expand(root: Derivation) -> tuple[Step, ...]:
 # --- rewriting ----------------------------------------------------------------
 
 
-class Orientation(Enum):
-    LEFT_TO_RIGHT = "left-to-right"
-    RIGHT_TO_LEFT = "right-to-left"
-    UNORIENTABLE = "unorientable"
+# safety bound on the rewrite steps of one normalization
+REWRITE_CAP = 10_000
 
 
 @dataclass(frozen=True)
 class ProcessedEq:
     lhs: Term
     rhs: Term
-    orientation: Orientation
+    # kbo_compare(lhs, rhs): GT rewrites lhs to rhs, LT rhs to lhs, INC either
+    # way when the instance decreases
+    orientation: Cmp
     derivation: Derivation  # of the axiom-level conversion lhs => rhs
 
     def directed(self):
@@ -369,9 +355,9 @@ class ProcessedEq:
         usable for rewriting."""
         forward = (self.lhs, self.rhs, Use(self.derivation))
         backward = (self.rhs, self.lhs, Use(self.derivation, flip=True))
-        if self.orientation == Orientation.LEFT_TO_RIGHT:
+        if self.orientation is GT:
             return (forward,)
-        if self.orientation == Orientation.RIGHT_TO_LEFT:
+        if self.orientation is LT:
             return (backward,)
         return (forward, backward)
 
@@ -385,7 +371,7 @@ def _try_rewrite_root(term, rules):
         if extra:
             # fill unmatched target variables with the least constant; only
             # safe to decide termination by ordering when the redex is ground
-            if not is_ground(term):
+            if _shape(term)[1]:
                 continue
             for i in extra:
                 subst[i] = Const(0)
@@ -415,31 +401,24 @@ def _rewrite_once(term, rules):
 def _directed_rules(eqs: Iterable[ProcessedEq]):
     rules = []
     for eq in eqs:
-        ordered = eq.orientation != Orientation.UNORIENTABLE
+        ordered = eq.orientation is not INC
         for src, tgt, use in eq.directed():
             rules.append((src, tgt, use, ordered))
     return rules
 
 
-def _normalize_traced(term, rules, cap):
+def _normalize_traced(term, rules):
     """Normal form and the rule uses that convert term into it."""
     uses: list[Use] = []
     while True:
         hit = _rewrite_once(term, rules)
         if hit is None:
             return term, uses
-        if len(uses) >= cap:
-            raise ValueError(f"rewrite step cap {cap} exceeded")
+        if len(uses) >= REWRITE_CAP:
+            raise ValueError(f"rewrite step cap {REWRITE_CAP} exceeded")
         new_term, pos, use = hit
         uses.append(use._replace(context=term, pos=pos))
         term = new_term
-
-
-_ORIENTATION_OF_CMP = {
-    GT: Orientation.LEFT_TO_RIGHT,
-    LT: Orientation.RIGHT_TO_LEFT,
-    INC: Orientation.UNORIENTABLE,
-}
 
 
 def orient_equation(eq: Equation, eq_id: int | None = None) -> ProcessedEq | None:
@@ -452,29 +431,7 @@ def orient_equation(eq: Equation, eq_id: int | None = None) -> ProcessedEq | Non
     # canonical numbering makes first-occurrence order ascending
     identity = tuple((i, Var(i)) for i in variables(eq.lhs, eq.rhs))
     derivation = Derivation((Step((), identity, eq.lhs, eq.rhs, eq_id),))
-    cmp = kbo_compare(eq.lhs, eq.rhs)
-    return ProcessedEq(eq.lhs, eq.rhs, _ORIENTATION_OF_CMP[cmp], derivation)
-
-
-def _coerce_processed(eqs) -> list[ProcessedEq]:
-    procs = []
-    for k, eq in enumerate(eqs, 1):
-        if isinstance(eq, ProcessedEq):
-            procs.append(eq)
-            continue
-        proc = orient_equation(eq, eq.id or k)
-        if proc is not None:
-            procs.append(proc)
-    return procs
-
-
-def normalize(
-    term: Term, eqs: Iterable[ProcessedEq | Equation], cap: int = 10_000
-) -> Term:
-    """Normal form under ordered rewriting with the given equations."""
-    procs = _coerce_processed(eqs)
-    nf, _ = _normalize_traced(term, _directed_rules(procs), cap)
-    return nf
+    return ProcessedEq(eq.lhs, eq.rhs, kbo_compare(eq.lhs, eq.rhs), derivation)
 
 
 # --- critical pairs -----------------------------------------------------------
@@ -535,28 +492,6 @@ def _critical_pair_triples(e1: ProcessedEq, e2: ProcessedEq, meter: BudgetMeter)
     return triples
 
 
-def critical_pairs(e1: ProcessedEq | Equation, e2: ProcessedEq | Equation) -> list[Equation]:
-    """All critical pairs between two equations, canonicalized, duplicates and
-    trivial pairs removed.  Overlap positions are non-variable; directions are
-    limited to sides not smaller than their partner.  Renaming apart is done
-    internally, so the same equation may be passed twice."""
-    coerced = _coerce_processed([e1, e2])
-    if len(coerced) < 2:
-        return []
-    p1, p2 = coerced
-    result = []
-    seen = set()
-    for left, right, _ in _critical_pair_triples(p1, p2, BudgetMeter(UNLIMITED)):
-        key = Equation(left, right)
-        flipped = canonicalize(Equation(right, left))
-        if key in seen or flipped in seen:
-            continue
-        seen.add(key)
-        seen.add(flipped)
-        result.append(key)
-    return result
-
-
 # --- the given-clause loop ------------------------------------------------------
 
 
@@ -571,7 +506,6 @@ def saturate(
     axiom: Equation,
     goal: GroundDiseq,
     budget: Budget = UNLIMITED,
-    cap: int = 10_000,
 ) -> SaturationOutcome:
     """Prove or refute goal.left = goal.right from one universally
     quantified axiom.  Returns Proved with a replayable proof, Saturated when
@@ -611,9 +545,9 @@ def saturate(
     right_uses: list[Use] = []
 
     while meter.tick():
-        goal_left, uses = _normalize_traced(goal_left, rules, cap)
+        goal_left, uses = _normalize_traced(goal_left, rules)
         left_uses.extend(uses)
-        goal_right, uses = _normalize_traced(goal_right, rules, cap)
+        goal_right, uses = _normalize_traced(goal_right, rules)
         right_uses.extend(uses)
         if goal_left == goal_right:
             conversion = Derivation(tuple(left_uses + _reverse(right_uses)))
@@ -622,8 +556,8 @@ def saturate(
             return SaturationOutcome(SATURATED, None, meter.steps_used)
 
         _, _, left, right, derivation = heapq.heappop(queue)
-        left2, uses_l = _normalize_traced(left, rules, cap)
-        right2, uses_r = _normalize_traced(right, rules, cap)
+        left2, uses_l = _normalize_traced(left, rules)
+        right2, uses_r = _normalize_traced(right, rules)
         if left2 == right2:
             continue
         left2, right2, derivation = _canonical_triple(
@@ -631,9 +565,7 @@ def saturate(
         )
         if (left2, right2) != (left, right) and not unseen(Equation(left2, right2)):
             continue
-        given = ProcessedEq(
-            left2, right2, _ORIENTATION_OF_CMP[kbo_compare(left2, right2)], derivation
-        )
+        given = ProcessedEq(left2, right2, kbo_compare(left2, right2), derivation)
 
         # the deadline checks below use no steps, so step-budgeted runs are
         # unaffected; they keep one long iteration from overrunning a wall budget
@@ -649,8 +581,8 @@ def saturate(
         for other in processed:
             if meter.expired():
                 return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
-            l2, sl = _normalize_traced(other.lhs, given_rules, cap)
-            r2, sr = _normalize_traced(other.rhs, given_rules, cap)
+            l2, sl = _normalize_traced(other.lhs, given_rules)
+            r2, sr = _normalize_traced(other.rhs, given_rules)
             if l2 == other.lhs and r2 == other.rhs:
                 survivors.append(other)
                 continue
@@ -723,7 +655,7 @@ def format_proof(proof: Proof) -> str:
 
 
 _STEP_RE = re.compile(
-    r"step (\d+): rewrite at (\S+) with eq (\d+) under \{(.*)\}: (.*) ==> (.*)$"
+    r"step (\d+): rewrite at (e|[01](?:\.[01])*) with eq (\d+) under \{(.*)\}: (.*) ==> (.*)$"
 )
 
 

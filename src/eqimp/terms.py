@@ -222,7 +222,20 @@ def print_equation(eq: Equation) -> str:
     return f"{format_term(eq.lhs)}={format_term(eq.rhs)}"
 
 
-# --- canonical form --------------------------------------------------------
+# --- substitution and canonical form ---------------------------------------
+
+Subst = dict[int, Term]
+
+
+def apply_subst(term: Term, subst: Subst) -> Term:
+    """Replace each variable bound in subst; unbound variables stay."""
+    match term:
+        case Var(index):
+            return subst.get(index, term)
+        case Op(left, right):
+            return Op(apply_subst(left, subst), apply_subst(right, subst))
+        case _:
+            return term
 
 
 def _collect_vars(term: Term, order: list[int], seen: set[int]) -> None:
@@ -238,16 +251,6 @@ def _collect_vars(term: Term, order: list[int], seen: set[int]) -> None:
             pass
 
 
-def _rename_vars(term: Term, mapping: dict[int, int]) -> Term:
-    match term:
-        case Var(index):
-            return Var(mapping[index])
-        case Op(left, right):
-            return Op(_rename_vars(left, mapping), _rename_vars(right, mapping))
-        case _:
-            return term
-
-
 def variables(*terms: Term) -> list[int]:
     """Distinct variable indexes of the terms, by first occurrence in preorder,
     earlier terms first."""
@@ -260,8 +263,8 @@ def variables(*terms: Term) -> list[int]:
 
 def canonicalize(eq: Equation) -> Equation:
     """Renumber variables by first occurrence, lhs before rhs, preorder."""
-    mapping = {old: new for new, old in enumerate(variables(eq.lhs, eq.rhs))}
-    return Equation(_rename_vars(eq.lhs, mapping), _rename_vars(eq.rhs, mapping), id=eq.id)
+    rename = {old: Var(new) for new, old in enumerate(variables(eq.lhs, eq.rhs))}
+    return Equation(apply_subst(eq.lhs, rename), apply_subst(eq.rhs, rename), id=eq.id)
 
 
 def term_size(term: Term) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .terms import Const, Corpus, Equation, Op, Term, Var
+from .terms import Const, Corpus, Equation, Op, Term, Var, apply_subst, variables
 
 TPTP_VARS = "XYZWUV"
 TPTP_CONSTS = "abcdef"
@@ -22,19 +22,10 @@ class GroundDiseq:
     right: Term
 
 
-def _ground(term: Term) -> Term:
-    match term:
-        case Var(index):
-            return Const(index)
-        case Op(left, right):
-            return Op(_ground(left), _ground(right))
-        case _:
-            return term
-
-
 def skolemize(eq: Equation) -> GroundDiseq:
     """Replace each variable of a negated conjecture with its own constant."""
-    return GroundDiseq(_ground(eq.lhs), _ground(eq.rhs))
+    ground = {index: Const(index) for index in variables(eq.lhs, eq.rhs)}
+    return GroundDiseq(apply_subst(eq.lhs, ground), apply_subst(eq.rhs, ground))
 
 
 def _tptp_term(term: Term) -> str:

@@ -194,9 +194,11 @@ def test_workers_exit_when_the_run_alone_is_killed(tmp_path):
 
 def test_run_bad_schedule_file_exits_1(tmp_path, capsys):
     eqs = _write(tmp_path / "one.eqs", "x*y = y*x\nx = x\n")
-    sched = _write(tmp_path / "sched.txt", "s1 fmb bogus 100\n")
-    assert main(["run", "--eqs", eqs, "--out", str(tmp_path / "o.jsonl"), "--schedule", sched]) == 1
-    assert "line 1" in capsys.readouterr().err
+    for stage in ("s1 fmb bogus 100", "s1 satur seconds nan", "s1 satur seconds inf"):
+        sched = _write(tmp_path / "sched.txt", stage + "\n")
+        argv = ["run", "--eqs", eqs, "--out", str(tmp_path / "o.jsonl"), "--schedule", sched]
+        assert main(argv) == 1
+        assert "line 1" in capsys.readouterr().err
 
 
 # --- closure -----------------------------------------------------------------
@@ -330,6 +332,14 @@ def test_verify_unreadable_witness_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--eqs", eqs, "--results", log]) == 2
     assert "pair (1, 2)" in capsys.readouterr().err
+    # position 7.0 names the same subterm as 1.0 if any nonzero step meant
+    # "right", so the proof would still replay; it must not parse
+    eqs, log = _mini_run(tmp_path, ["x = y", "x*(y*z) = (x*y)*z"])
+    _tamper(log, (1, 2), lambda witness: witness.replace("rewrite at 1.0 ", "rewrite at 7.0 ", 1))
+    assert "rewrite at 7.0 " in pathlib.Path(log).read_text()
+    capsys.readouterr()
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+    assert "pair (1, 2): unreadable proof" in capsys.readouterr().err
 
 
 def test_verify_rejects_assignment_outside_the_table(tmp_path, capsys):

@@ -137,6 +137,11 @@ def test_parse_schedule_errors():
         parse_schedule("s1 satur steps 500 max_size=3")
     with pytest.raises(ValueError, match="line 2"):
         parse_schedule("s1 fmb steps 500\ns2 satur steps nan-steps")
+    # a NaN or infinite deadline never expires
+    with pytest.raises(ValueError, match="line 1.*finite"):
+        parse_schedule("s1 satur seconds nan")
+    with pytest.raises(ValueError, match="line 1.*finite"):
+        parse_schedule("s1 fmb seconds inf")
     with pytest.raises(ValueError, match="at least one stage"):
         parse_schedule("# nothing but comments\n")
     with pytest.raises(ValueError, match="unique"):

@@ -7,25 +7,26 @@ from collections import Counter
 import pytest
 
 from conftest import oracle_holds, oracle_tables, random_ground_term, random_term
-from eqimp.budget import Budget
+from eqimp import saturation
+from eqimp.budget import UNLIMITED, Budget, BudgetMeter
 from eqimp.models import FOUND, find_countermodel
 from eqimp.saturation import (
     Cmp,
     Derivation,
     OUT_OF_BUDGET,
-    Orientation,
     PROVED,
     Proof,
     SATURATED,
     Step,
     Use,
+    _critical_pair_triples,
+    _directed_rules,
+    _normalize_traced,
     apply_subst,
-    critical_pairs,
     expand,
     format_proof,
     kbo_compare,
     match,
-    normalize,
     orient_equation,
     parse_proof,
     replay_proof,
@@ -256,6 +257,12 @@ def test_match_found_by_oracle_search():
 # --- normalization ----------------------------------------------------------------
 
 
+def normalize(term, eqs):
+    """Normal form of term under ordered rewriting with the equations."""
+    nf, _ = _normalize_traced(term, _directed_rules(orient_equation(eq) for eq in eqs))
+    return nf
+
+
 def test_normalize_projection():
     assert normalize(Op(Op(A, B), C), [LEFT_PROJ]) == A
 
@@ -282,13 +289,16 @@ def test_normalize_fills_extra_variables_with_least_constant():
 
 def test_normalize_accepts_processed_equations():
     proc = orient_equation(LEFT_PROJ)
-    assert proc.orientation == Orientation.LEFT_TO_RIGHT
-    assert normalize(Op(A, B), [proc]) == A
+    assert proc.orientation == Cmp.GT
+    nf, uses = _normalize_traced(Op(A, B), _directed_rules([proc]))
+    assert nf == A
+    assert len(uses) == 1
 
 
-def test_normalize_step_cap():
+def test_normalize_step_cap(monkeypatch):
+    monkeypatch.setattr(saturation, "REWRITE_CAP", 0)
     with pytest.raises(ValueError, match="cap"):
-        normalize(Op(B, A), [COMM], cap=0)
+        normalize(Op(B, A), [COMM])
 
 
 def test_normalize_never_increases_kbo():
@@ -302,13 +312,22 @@ def test_normalize_never_increases_kbo():
 
 
 def test_orient_equation():
-    assert orient_equation(COMM).orientation == Orientation.UNORIENTABLE
-    assert orient_equation(ASSOC).orientation == Orientation.LEFT_TO_RIGHT
-    assert orient_equation(parse_equation("x=x*y")).orientation == Orientation.RIGHT_TO_LEFT
+    assert orient_equation(COMM).orientation == Cmp.INC
+    assert orient_equation(ASSOC).orientation == Cmp.GT
+    assert orient_equation(parse_equation("x=x*y")).orientation == Cmp.LT
     assert orient_equation(parse_equation("x=x")) is None
 
 
 # --- critical pairs ----------------------------------------------------------------
+
+
+def critical_pairs(e1, e2):
+    """The canonical critical pairs between two equations, as saturation
+    derives them; the same equation may be passed twice."""
+    triples = _critical_pair_triples(
+        orient_equation(e1), orient_equation(e2), BudgetMeter(UNLIMITED)
+    )
+    return [Equation(left, right) for left, right, _ in triples]
 
 
 def _contains_up_to_orientation(pairs, text):
@@ -553,6 +572,10 @@ def test_proof_round_trip_through_text():
 def test_parse_proof_rejects_garbage():
     with pytest.raises(ValueError, match="line 1"):
         parse_proof("this is not a proof")
+    # a position is e or a dotted path of 0 (left) and 1 (right) steps
+    for pos in ("7.0", "-1.0", "2", "0.", ".1", "e.0", "01"):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_proof(f"step 1: rewrite at {pos} with eq 1 under {{x=a}}: a*b ==> a")
     with pytest.raises(ValueError, match="substitution"):
         parse_proof("step 1: rewrite at e with eq 1 under {q=a}: a*b ==> a")
 
