@@ -11,7 +11,8 @@ OUT_OF_BUDGET = "out-of-budget"  # outcome status shared by both engines
 
 @dataclass(frozen=True)
 class Budget:
-    """Either a step allowance or a wall-clock allowance (or neither: unlimited)."""
+    """A step allowance, a wall-clock allowance, both (whichever runs out
+    first) or neither (unlimited)."""
 
     steps: int | None = None
     seconds: float | None = None

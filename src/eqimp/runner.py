@@ -10,6 +10,15 @@ pair; a pair no stage decides is recorded as unsolved.  Runs are resumable:
 decided records from a previous log are kept and their pairs skipped, unsolved
 ones are retried.
 
+The model finder cannot refute a true implication, so ahead of the walk a
+decide-early phase settles what short prefixes of two stages decide: a slice
+of the first model finder stage's search, then a saturation probe on each
+pair still open.  It applies when the first stage is a step-budgeted model
+finder stage and the first saturation stage is step-budgeted too.  Both
+engines are deterministic under step budgets, so every record it writes is
+the one the stage-by-stage walk writes; a pair the probe proves skips the
+model finder stages before the probed stage.
+
 With more than one worker, each premise with its open pairs is one task for a
 pool of worker processes; the records come back in pair order and the calling
 process alone writes the log.  Engines are deterministic for step budgets, so
@@ -39,6 +48,12 @@ ENGINE_FMB = "fmb"
 ENGINE_SATUR = "satur"
 
 CLOSURE_STAGE = 0  # derived records sit outside the schedule's 1-based stages
+
+# the decide-early phase (see _decide_early): model finder steps of the slice,
+# and saturation iterations and wall seconds of each probe
+SLICE = 500
+K = 20
+CAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -193,19 +208,28 @@ def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[
     """Run stages in order on the pairs (lhs, rhs) for each rhs until one
     decides it; returns their records in rhss order.  A model finder stage
     searches the premise's models once for all conclusions still open, a
-    saturation stage attempts each open pair alone.  Crashes inside an engine
-    become unsolved records carrying the error note."""
+    saturation stage attempts each open pair alone.  When the schedule allows
+    it, the decide-early phase (_decide_early) runs first and settles the
+    pairs it can with the records their stages would write; the walk skips
+    them.  Crashes inside an engine become unsolved records carrying the error
+    note."""
     premise = corpus.by_id(lhs)
     records: dict[int, ResultRecord] = {}
-    spent = dict.fromkeys(rhss, 0.0)  # seconds of the stages that left a pair open
+    spent = dict.fromkeys(rhss, 0.0)  # seconds of the attempts that left a pair open
+    probed = _probed_stage(schedule)
+    if probed is not None:
+        records, spent = _decide_early(corpus, lhs, rhss, schedule, probed)
     for index, stage in enumerate(schedule.stages, 1):
         open_rhss = [rhs for rhs in rhss if rhs not in records]
         if not open_rhss:
             break
+        conclusions = [corpus.by_id(rhs) for rhs in open_rhss]
         if stage.engine == ENGINE_FMB:
-            results = _fmb_stage(premise, [corpus.by_id(rhs) for rhs in open_rhss], stage)
+            results = _fmb_stage(premise, conclusions, stage.max_size, stage.budget)
         else:
-            results = [_satur_stage(premise, corpus.by_id(rhs), stage) for rhs in open_rhss]
+            results = [
+                _satur_stage(premise, conclusion, stage.budget) for conclusion in conclusions
+            ]
         for rhs, (decided, seconds) in zip(open_rhss, results):
             if decided is None:
                 spent[rhs] += seconds
@@ -220,13 +244,63 @@ def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[
     ]
 
 
-def _fmb_stage(premise, conclusions, stage: MethodSpec) -> list:
+def _probed_stage(schedule: Schedule) -> int | None:
+    """The 1-based index of the saturation stage the decide-early phase
+    probes, or None when the phase does not apply: the first stage must be a
+    step-budgeted model finder stage and the first saturation stage
+    step-budgeted too."""
+    if schedule.stages[0].engine != ENGINE_FMB or schedule.stages[0].budget.seconds is not None:
+        return None
+    for index, stage in enumerate(schedule.stages, 1):
+        if stage.engine == ENGINE_SATUR:
+            return index if stage.budget.seconds is None else None
+    return None
+
+
+def _decide_early(corpus, lhs: int, rhss, schedule: Schedule, probed: int) -> tuple[dict, dict]:
+    """The records of the pairs (lhs, rhs) that short prefixes of two
+    deterministic stages decide, and the seconds spent on every pair.
+
+    The slice is the first stage's shared search cut at SLICE steps.  Its walk
+    is a prefix of the stage's own, so a countermodel it finds is the one the
+    stage finds; every other slice outcome is discarded.
+
+    Then each pair still open gets a probe: the probed saturation stage's run
+    cut at K iterations and CAP seconds.  A proof found within K iterations is
+    the proof the stage's whole budget returns, and no model finder stage can
+    refute a true implication, so the pair gets the stage's record and skips
+    every model finder stage before it.  Any other probe outcome, a crash
+    included, is discarded.
+    """
+    premise = corpus.by_id(lhs)
+    fmb, satur = schedule.stages[0], schedule.stages[probed - 1]
+    conclusions = [corpus.by_id(rhs) for rhs in rhss]
+    sliced = _fmb_stage(
+        premise, conclusions, fmb.max_size, Budget.of_steps(min(SLICE, fmb.budget.steps))
+    )
+    probe = Budget(steps=min(K, satur.budget.steps), seconds=CAP)
+    records: dict[int, ResultRecord] = {}
+    spent = dict.fromkeys(rhss, 0.0)
+    for rhs, conclusion, (decided, seconds) in zip(rhss, conclusions, sliced):
+        if decided is not None and decided[0] == REFUTED:
+            records[rhs] = ResultRecord(lhs, rhs, REFUTED, fmb.name, 1, seconds, decided[1])
+            continue
+        spent[rhs] += seconds
+        decided, seconds = _satur_stage(premise, conclusion, probe)
+        if decided is not None and decided[0] == PROVEN:
+            records[rhs] = ResultRecord(lhs, rhs, PROVEN, satur.name, probed, seconds, decided[1])
+        else:
+            spent[rhs] += seconds
+    return records, spent
+
+
+def _fmb_stage(premise, conclusions, max_size: int, budget: Budget) -> list:
     """(decision or None, seconds) per conclusion from one shared search.  A
-    refuted conclusion's seconds run from the stage's start until its
-    countermodel was found; every other conclusion gets the whole stage's."""
+    refuted conclusion's seconds run from the search's start until its
+    countermodel was found; every other conclusion gets the whole search's."""
     started = time.monotonic()
     try:
-        outcomes = find_countermodels(premise, conclusions, stage.max_size, stage.budget)
+        outcomes = find_countermodels(premise, conclusions, max_size, budget)
         decisions = [
             (REFUTED, format_countermodel(outcome.countermodel))
             if outcome.status == FOUND
@@ -242,12 +316,12 @@ def _fmb_stage(premise, conclusions, stage: MethodSpec) -> list:
     ]
 
 
-def _satur_stage(premise, conclusion, stage: MethodSpec) -> tuple:
+def _satur_stage(premise, conclusion, budget: Budget) -> tuple:
     """(decision or None, seconds) of one saturation attempt."""
     started = time.monotonic()
     decided = None
     try:
-        outcome = saturate(premise, skolemize(conclusion), stage.budget)
+        outcome = saturate(premise, skolemize(conclusion), budget)
         if outcome.status == PROVED:
             decided = (PROVEN, format_proof(outcome.proof))
         elif outcome.status == SATURATED:

@@ -24,6 +24,10 @@ DESK = str(pathlib.Path(__file__).parent / "data" / "desk.eqs")
 SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
 MINI_SCHEDULE = "mini-fmb fmb steps 5000 max_size=4\nmini-satur satur steps 500\n"
+# a model finder stage alone, so no decide-early phase proves desk's true
+# implications first: each premise searches its whole step budget for them,
+# and a desk run keeps working for about a second after its first record
+KILL_SCHEDULE = "slow-fmb fmb steps 20000 max_size=6\n"
 
 
 def _write(path, text):
@@ -132,7 +136,7 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, capsys):
-    sched = _write(tmp_path / "sched.txt", MINI_SCHEDULE)
+    sched = _write(tmp_path / "sched.txt", KILL_SCHEDULE)
     log = tmp_path / "killed.jsonl"
     argv = ["run", "--eqs", DESK, "--out", str(log), "--schedule", sched, "--jobs", "2"]
     # its own session, so the kill reaches the workers as well
@@ -160,7 +164,7 @@ def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, caps
 
 
 def test_workers_exit_when_the_run_alone_is_killed(tmp_path):
-    sched = _write(tmp_path / "sched.txt", MINI_SCHEDULE)
+    sched = _write(tmp_path / "sched.txt", KILL_SCHEDULE)
     log = tmp_path / "orphans.jsonl"
     argv = ["run", "--eqs", DESK, "--out", str(log), "--schedule", sched, "--jobs", "2"]
     child = _python(

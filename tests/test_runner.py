@@ -9,13 +9,14 @@ of all multiplication tables up to size 3.
 import dataclasses
 import json
 import os
+import pathlib
 import re
 import threading
 
 import pytest
 
 from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
-from eqimp.budget import UNLIMITED, Budget
+from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
 from eqimp import runner
 from eqimp.closure import PROVEN, REFUTED, StatusEntry
 from eqimp.models import eval_term, parse_countermodel, verify_equation
@@ -37,9 +38,11 @@ from eqimp.runner import (
     propagate_log,
     run,
 )
-from eqimp.saturation import parse_proof, replay_proof
+from eqimp.saturation import PROVED, SATURATED, parse_proof, replay_proof
 from eqimp.terms import enumerate_pairs, load_corpus
 from eqimp.tptp import skolemize
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _corpus(tmp_path, lines, name="mini.eqs"):
@@ -229,6 +232,167 @@ def test_premise_group_records_and_their_seconds(tmp_path):
     # a refutation found early is timed until it was found, not until the
     # shared search ended
     assert refuted.seconds < searched.seconds
+
+
+# --- the decide-early phase ---------------------------------------------------
+
+
+def _pinned_blocks(name):
+    """{(lhs, rhs): (header fields after the pair, body lines)} of a pinned
+    text file made of 'pair <lhs> <rhs> ...' headers and their bodies."""
+    blocks = {}
+    for block in (DATA / name).read_text(encoding="utf-8").split("pair ")[1:]:
+        header, *body = block.rstrip("\n").split("\n")
+        lhs, rhs, *fields = header.split()
+        blocks[(int(lhs), int(rhs))] = (fields, body)
+    return blocks
+
+
+def test_desk_records_come_from_the_pinned_files(tmp_path):
+    # the default schedule's record of every desk pair follows from the
+    # pinned outcomes of its first two stages run alone: fmb-500i's
+    # countermodel where it finds one, else satur-500i's proof
+    outcomes = _pinned_blocks("desk_fmb500i_outcomes.txt")
+    proofs = _pinned_blocks("desk_satur500i_proofs.txt")
+    expected = []
+    for pair, (fields, body) in sorted(outcomes.items()):
+        if fields[0] == "found":
+            expected.append(ResultRecord(*pair, REFUTED, "fmb-500i", 1, 0.0, "\n".join(body)))
+        else:
+            expected.append(
+                ResultRecord(*pair, PROVEN, "satur-500i", 2, 0.0, "\n".join(proofs[pair][1]))
+            )
+    assert len(expected) == 380
+    corpus = load_corpus(str(DATA / "desk.eqs"))
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.jsonl"
+        records = run(corpus, default_schedule(), RunConfig(str(out), workers=workers))
+        assert [dataclasses.replace(r, seconds=0.0) for r in records] == expected
+        _, logged = load_results(str(out))
+        assert [dataclasses.replace(r, seconds=0.0) for r in logged] == expected
+
+
+def _recording(monkeypatch):
+    """Record the budget of every engine call the runner makes, as
+    ("fmb", budget, conclusion count) or ("satur", budget, status)."""
+    calls = []
+    find_countermodels, saturate = runner.find_countermodels, runner.saturate
+
+    def fmb(premise, conclusions, max_size, budget):
+        calls.append(("fmb", budget, len(conclusions)))
+        return find_countermodels(premise, conclusions, max_size, budget)
+
+    def satur(premise, goal, budget):
+        outcome = saturate(premise, goal, budget)
+        calls.append(("satur", budget, outcome.status))
+        return outcome
+
+    monkeypatch.setattr(runner, "find_countermodels", fmb)
+    monkeypatch.setattr(runner, "saturate", satur)
+    return calls
+
+
+def _probe_budget(stage):
+    return Budget(steps=min(runner.K, stage.budget.steps), seconds=runner.CAP)
+
+
+def test_a_proof_found_by_the_probe_skips_the_model_finder(tmp_path, monkeypatch):
+    # all products equal: commutativity has no finite countermodel and the
+    # probe proves it; x*y = x fails only at a complete table, past the
+    # one-step slice, so the model finder's full search runs for it alone
+    corpus = _corpus(tmp_path, ["x*y = u*w", "x*y = y*x", "x*y = x"])
+    schedule = _mini_schedule()
+    fmb, satur = schedule.stages
+    monkeypatch.setattr(runner, "SLICE", 1)
+    calls = _recording(monkeypatch)
+    proved, refuted = attempt_premise(corpus, 1, (2, 3), schedule)
+    assert calls == [
+        ("fmb", Budget.of_steps(1), 2),
+        ("satur", _probe_budget(satur), PROVED),
+        ("satur", _probe_budget(satur), SATURATED),
+        ("fmb", fmb.budget, 1),
+    ]
+    assert (proved.status, proved.method, proved.stage) == (PROVEN, "mini-satur", 2)
+    assert (refuted.status, refuted.method, refuted.stage) == (REFUTED, "mini-fmb", 1)
+    goal = skolemize(corpus.by_id(2))
+    assert replay_proof(parse_proof(proved.witness), corpus.by_id(1), goal).accepted
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        # model finder stages only
+        (MethodSpec("fmb", ENGINE_FMB, Budget.of_steps(5_000), 4),),
+        # saturation first
+        (
+            MethodSpec("satur", ENGINE_SATUR, Budget.of_steps(500)),
+            MethodSpec("fmb", ENGINE_FMB, Budget.of_steps(5_000), 4),
+        ),
+        # the first saturation stage has a wall budget
+        (
+            MethodSpec("fmb", ENGINE_FMB, Budget.of_steps(5_000), 4),
+            MethodSpec("satur", ENGINE_SATUR, Budget.of_wall(5.0)),
+        ),
+        # the first stage has a wall budget
+        (
+            MethodSpec("fmb", ENGINE_FMB, Budget.of_wall(5.0), 4),
+            MethodSpec("satur", ENGINE_SATUR, Budget.of_steps(500)),
+        ),
+    ],
+)
+def test_no_decide_early_phase_without_two_step_budgeted_stages(tmp_path, monkeypatch, stages):
+    corpus = _corpus(tmp_path, ["x*y = u*w", "x*y = y*x", "x*y = x", "x*x = x"])
+    schedule = Schedule(stages)
+    calls = _recording(monkeypatch)
+    for lhs in range(1, 5):
+        attempt_premise(corpus, lhs, tuple(rhs for rhs in range(1, 5) if rhs != lhs), schedule)
+    budgets = {stage.budget for stage in stages}
+    assert calls and all(budget in budgets for _, budget, _ in calls)
+
+
+def _mini_records(corpus, schedule):
+    return [
+        dataclasses.replace(record, seconds=0.0)
+        for lhs in range(1, corpus.count + 1)
+        for record in attempt_premise(
+            corpus, lhs, tuple(rhs for rhs in range(1, corpus.count + 1) if rhs != lhs), schedule
+        )
+    ]
+
+
+PROBED_LAWS = ["x = x", "x*y = u*w", "x*y = y*x", "x*y = x", "x*x = x", "x = y"]
+
+
+def test_probes_cut_at_zero_seconds_change_no_record(tmp_path, monkeypatch):
+    corpus = _corpus(tmp_path, PROBED_LAWS)
+    schedule = _mini_schedule()
+    expected = _mini_records(corpus, schedule)
+    assert any(r.status == PROVEN and r.method == "mini-satur" for r in expected)
+    monkeypatch.setattr(runner, "CAP", 0.0)
+    calls = _recording(monkeypatch)
+    assert _mini_records(corpus, schedule) == expected
+    probes = [
+        status for kind, budget, status in calls if kind == "satur" and budget.seconds == 0.0
+    ]
+    assert probes and set(probes) == {OUT_OF_BUDGET}
+
+
+def test_a_probe_that_raises_changes_no_record(tmp_path, monkeypatch):
+    corpus = _corpus(tmp_path, PROBED_LAWS)
+    schedule = _mini_schedule()
+    expected = _mini_records(corpus, schedule)
+    real_saturate = runner.saturate
+    raised = []
+
+    def raise_in_probes(premise, goal, budget):
+        if budget.seconds is not None:
+            raised.append(goal)
+            raise RuntimeError("probe failed")
+        return real_saturate(premise, goal, budget)
+
+    monkeypatch.setattr(runner, "saturate", raise_in_probes)
+    assert _mini_records(corpus, schedule) == expected
+    assert raised
 
 
 def test_wall_budget_is_a_hard_stop(tmp_path):
