@@ -10,11 +10,15 @@ R2 and R3 transport a countermodel along a proven edge: a magma satisfying A
 and violating C also satisfies B (by A->B), so it separates B from C; and a
 magma separating A from C cannot satisfy B, else B->C would force C.
 
-Propagation runs as a worklist over the proven-edge graph, never rescanning
-the whole map.  Derived entries record their two premise pairs and never
-overwrite direct ones; a derivation contradicting an existing status raises
-ConsistencyError naming the pair and both justifications.  Unsolved pairs are
-simply absent from the map.
+Propagation runs as a worklist over the decided pairs, never rescanning the
+whole map.  Ids are non-negative ints, and every neighbour set is an int
+bitset (bit i for id i): a row per law of the pairs it is the premise of, a
+column per law of the pairs it is the conclusion of.  A rule applied to a
+popped pair is a mask over one row or column, so pairs already decided cost
+one bitwise and, not an entry each.  Derived entries record their two premise
+pairs and never overwrite direct ones; a derivation contradicting an existing
+status raises ConsistencyError naming the pair and both justifications.
+Unsolved pairs are simply absent from the map.
 """
 
 from __future__ import annotations
@@ -56,59 +60,86 @@ def _describe(entry: StatusEntry) -> str:
 def propagate(statuses: StatusMap) -> StatusMap:
     """Least fixpoint of R1-R3 over the input map; the input is not mutated.
 
-    Iteration order is canonicalized (sorted seeds and neighbor sets), so the
-    result, including provenance of derived entries, depends only on the
-    map's contents, not on its insertion order."""
+    Ids are non-negative ints.  The worklist pops each decided pair once, the
+    input's in sorted order first.  Each rule combines the popped pair with a
+    bitset row or column of its popped neighbours into a mask of candidate
+    pairs.  Candidates already decided the same way are skipped without
+    building an entry; the fresh ones are added in ascending id order, as a
+    loop over the sorted neighbours would add them, so the result, including
+    provenance of derived entries and key order, depends only on the map's
+    contents, not on its insertion order.  A candidate decided the other way
+    raises ConsistencyError for the lowest such pair, the first one a loop
+    over the sorted neighbours would meet."""
     result: StatusMap = dict(statuses)
-    proven_out: dict[int, set[int]] = {}
-    proven_in: dict[int, set[int]] = {}
-    refuted_out: dict[int, set[int]] = {}
-    refuted_in: dict[int, set[int]] = {}
+    # the popped pairs: proven_out[a] has bit b for each popped (a,b) proven,
+    # proven_in[b] has bit a, and likewise for the refuted ones
+    proven_out: dict[int, int] = {}
+    proven_in: dict[int, int] = {}
+    refuted_out: dict[int, int] = {}
+    refuted_in: dict[int, int] = {}
+    # the pairs decided in result, per status, by row and by column
+    rows: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
+    cols: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
 
+    def mark(lines: dict[int, int], key: int, bit: int) -> None:
+        lines[key] = lines.get(key, 0) | 1 << bit
+
+    for (a, b), entry in statuses.items():
+        mark(rows[entry.status], a, b)
+        mark(cols[entry.status], b, a)
     queue: deque[tuple[Pair, str]] = deque()
     for pair in sorted(statuses):
         queue.append((pair, statuses[pair].status))
 
-    def derive(pair: Pair, status: str, rule: str, premises: tuple[Pair, Pair]):
-        if pair[0] == pair[1]:
-            # reflexive facts are trivial and never recorded
+    def derive(mask: int, fixed: int, in_row: bool, status: str, rule: str, premises):
+        """Derive status for (fixed, v) if in_row, else (v, fixed), for each
+        bit v of mask; premises(v) gives the two premise pairs."""
+        # reflexive facts are trivial and never recorded
+        mask &= ~(1 << fixed)
+        if not mask:
             return
-        entry = StatusEntry(status, f"closure:{rule}", premises)
-        existing = result.get(pair)
-        if existing is not None:
-            if existing.status != status:
-                raise ConsistencyError(
-                    f"pair {pair} is {_describe(existing)} but also derives as "
-                    f"{_describe(entry)}"
-                )
-            return
-        result[pair] = entry
-        queue.append((pair, status))
+        lines = rows if in_row else cols
+        same = lines[status].get(fixed, 0)
+        other = lines[REFUTED if status == PROVEN else PROVEN].get(fixed, 0)
+        provenance = f"closure:{rule}"
+        clash = mask & other
+        if clash:
+            first = (clash & -clash).bit_length() - 1
+            pair = (fixed, first) if in_row else (first, fixed)
+            entry = StatusEntry(status, provenance, premises(first))
+            raise ConsistencyError(
+                f"pair {pair} is {_describe(result[pair])} but also derives as "
+                f"{_describe(entry)}"
+            )
+        fresh = mask & ~same
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            v = low.bit_length() - 1
+            a, b = pair = (fixed, v) if in_row else (v, fixed)
+            result[pair] = StatusEntry(status, provenance, premises(v))
+            mark(rows[status], a, b)
+            mark(cols[status], b, a)
+            queue.append((pair, status))
 
     while queue:
         (a, b), status = queue.popleft()
         if status == PROVEN:
-            proven_out.setdefault(a, set()).add(b)
-            proven_in.setdefault(b, set()).add(a)
+            mark(proven_out, a, b)
+            mark(proven_in, b, a)
             # R1, with (a,b) as either premise
-            for c in sorted(proven_out.get(b, ())):
-                derive((a, c), PROVEN, "R1", ((a, b), (b, c)))
-            for z in sorted(proven_in.get(a, ())):
-                derive((z, b), PROVEN, "R1", ((z, a), (a, b)))
+            derive(proven_out.get(b, 0), a, True, PROVEN, "R1", lambda c: ((a, b), (b, c)))
+            derive(proven_in.get(a, 0), b, False, PROVEN, "R1", lambda z: ((z, a), (a, b)))
             # R2: (a,b) proven, (a,c) refuted  =>  (b,c) refuted
-            for c in sorted(refuted_out.get(a, ())):
-                derive((b, c), REFUTED, "R2", ((a, b), (a, c)))
+            derive(refuted_out.get(a, 0), b, True, REFUTED, "R2", lambda c: ((a, b), (a, c)))
             # R3: (a,b) proven, (z,b) refuted  =>  (z,a) refuted
-            for z in sorted(refuted_in.get(b, ())):
-                derive((z, a), REFUTED, "R3", ((a, b), (z, b)))
+            derive(refuted_in.get(b, 0), a, False, REFUTED, "R3", lambda z: ((a, b), (z, b)))
         else:
-            refuted_out.setdefault(a, set()).add(b)
-            refuted_in.setdefault(b, set()).add(a)
+            mark(refuted_out, a, b)
+            mark(refuted_in, b, a)
             # here (a,b) is the refuted premise A-/->C with A=a, C=b
-            for mid in sorted(proven_out.get(a, ())):
-                derive((mid, b), REFUTED, "R2", ((a, mid), (a, b)))
-            for mid in sorted(proven_in.get(b, ())):
-                derive((a, mid), REFUTED, "R3", ((mid, b), (a, b)))
+            derive(proven_out.get(a, 0), b, False, REFUTED, "R2", lambda m: ((a, m), (a, b)))
+            derive(proven_in.get(b, 0), a, True, REFUTED, "R3", lambda m: ((m, b), (a, b)))
     return result
 
 

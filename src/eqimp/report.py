@@ -8,8 +8,9 @@ is a pure function of the input: same records, same bytes.
 
 from __future__ import annotations
 
-import io
+import bisect
 import csv
+import io
 from dataclasses import dataclass
 
 from .closure import PROVEN, REFUTED
@@ -100,9 +101,7 @@ def histogram(records, edges=DEFAULT_EDGES) -> Histogram:
     cells: dict[tuple[str, str], list[int]] = {}
     width = len(edges) + 1
     for record in _decided(records):
-        bucket = 0
-        while bucket < len(edges) and record.seconds >= edges[bucket]:
-            bucket += 1
+        bucket = bisect.bisect_right(edges, record.seconds)
         key = (record.method, record.status)
         if key not in cells:
             cells[key] = [0] * width

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -152,8 +153,20 @@ class ResultRecord:
             raise ValueError(f"unknown status {self.status!r}")
         if self.status != UNSOLVED and (self.method is None or self.stage is None):
             raise ValueError("decided records need method and stage")
-        if self.seconds < 0:
-            raise ValueError("seconds must be nonnegative")
+        # closure keys its bitsets by id, and JSON admits floats, booleans and
+        # NaN where an int or a finite number belongs
+        if type(self.lhs) is not int or type(self.rhs) is not int:
+            raise ValueError("lhs and rhs must be ints")
+        if self.lhs < 1 or self.rhs < 1 or self.lhs == self.rhs:
+            raise ValueError("lhs and rhs must be distinct positive ids")
+        if self.stage is not None and (type(self.stage) is not int or self.stage < 0):
+            raise ValueError("stage must be a nonnegative int")
+        if type(self.seconds) not in (int, float) or not 0 <= self.seconds < math.inf:
+            raise ValueError("seconds must be finite and nonnegative")
+        if self.method is not None and type(self.method) is not str:
+            raise ValueError("method must be a string")
+        if self.witness is not None and type(self.witness) is not str:
+            raise ValueError("witness must be a string")
 
 
 @dataclass(frozen=True)
@@ -168,11 +181,12 @@ class RunConfig:
 
 
 _RECORD_KEYS = ("lhs", "rhs", "status", "method", "stage", "seconds", "witness")
+_KEY_SET = frozenset(_RECORD_KEYS)
 
 
 def _record_line(record: ResultRecord) -> str:
-    payload = {key: getattr(record, key) for key in _RECORD_KEYS}
-    return json.dumps(payload) + "\n"
+    # the dataclass fields are declared in _RECORD_KEYS order
+    return json.dumps(vars(record)) + "\n"
 
 
 def _write_log(path: str, records) -> None:
@@ -190,13 +204,12 @@ def _write_log(path: str, records) -> None:
         raise
 
 
-def _record_from_dict(payload: dict, where: str) -> ResultRecord:
-    if set(payload) != set(_RECORD_KEYS):
-        raise ValueError(f"{where}: record keys must be exactly {_RECORD_KEYS}")
-    try:
-        return ResultRecord(**payload)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{where}: {err}") from None
+def _record_from_dict(payload) -> ResultRecord:
+    if not isinstance(payload, dict):
+        raise ValueError("record must be an object")
+    if payload.keys() != _KEY_SET:
+        raise ValueError(f"record keys must be exactly {_RECORD_KEYS}")
+    return ResultRecord(**payload)
 
 
 def attempt_pair(corpus: Corpus, lhs: int, rhs: int, schedule: Schedule) -> ResultRecord:
@@ -441,30 +454,37 @@ def load_results(
     records = []
     seen: dict[tuple[int, int], int] = {}
     status_map: StatusMap = {}
+    # one shared entry per (status, method): a log holds few distinct ones
+    entries: dict[tuple[str, str], StatusEntry] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as err:
                 if drop_torn_tail and not raw.endswith("\n"):
                     break
-                raise ValueError(f"{where}: bad record: {err}") from None
-            if not isinstance(payload, dict):
-                raise ValueError(f"{where}: record must be an object")
-            record = _record_from_dict(payload, where)
+                raise ValueError(f"{path}:{lineno}: bad record: {err}") from None
+            try:
+                record = _record_from_dict(payload)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
             pair = (record.lhs, record.rhs)
             if pair in seen:
                 raise ValueError(
-                    f"{where}: duplicate record for pair {pair} (first at line {seen[pair]})"
+                    f"{path}:{lineno}: duplicate record for pair {pair} "
+                    f"(first at line {seen[pair]})"
                 )
             seen[pair] = lineno
             records.append(record)
             if record.status != UNSOLVED:
-                status_map[pair] = StatusEntry(record.status, record.method)
+                key = (record.status, record.method)
+                entry = entries.get(key)
+                if entry is None:
+                    entry = entries[key] = StatusEntry(record.status, record.method)
+                status_map[pair] = entry
     return status_map, records
 
 

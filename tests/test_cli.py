@@ -260,6 +260,24 @@ def test_closure_conflict_exits_2(tmp_path, capsys):
     assert "inconsistent" in capsys.readouterr().err
 
 
+def test_closure_rejects_a_malformed_record_naming_its_line(tmp_path, capsys):
+    log = _write_log(
+        tmp_path / "r.jsonl",
+        [
+            {"lhs": 1, "rhs": 2, "status": "proven", "method": "satur-500i",
+             "stage": 2, "seconds": 0.1, "witness": "p"},
+            {"lhs": "a", "rhs": 3, "status": "refuted", "method": "fmb-500i",
+             "stage": 1, "seconds": 0.1, "witness": "cm"},
+        ],
+    )
+    before = pathlib.Path(log).read_text()
+    assert main(["closure", "--results", log]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}:2: ")
+    assert "Traceback" not in err
+    assert pathlib.Path(log).read_text() == before
+
+
 # --- report ------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -199,3 +200,109 @@ def test_no_reflexive_entries_derived():
     assert (1, 1) not in after
     assert (2, 2) not in after
     assert derived_count(before, after) == 0
+
+
+# --- against the set-based worklist ----------------------------------------------
+# The worklist closure as it was before its neighbour sets became bitsets:
+# Python sets, sorted on every visit, and an entry built for every candidate.
+# The bitset closure must return the same map (statuses, provenance, premises
+# and key order) and raise the same ConsistencyError text.
+
+
+def _reference_describe(entry):
+    if entry.premises is None:
+        return f"{entry.status} via {entry.provenance}"
+    first, second = entry.premises
+    return f"{entry.status} via {entry.provenance} from {first} and {second}"
+
+
+def _reference_propagate(statuses):
+    result = dict(statuses)
+    proven_out, proven_in, refuted_out, refuted_in = {}, {}, {}, {}
+    queue = deque((pair, statuses[pair].status) for pair in sorted(statuses))
+
+    def derive(pair, status, rule, premises):
+        if pair[0] == pair[1]:
+            return
+        entry = StatusEntry(status, f"closure:{rule}", premises)
+        existing = result.get(pair)
+        if existing is not None:
+            if existing.status != status:
+                raise ConsistencyError(
+                    f"pair {pair} is {_reference_describe(existing)} but also derives as "
+                    f"{_reference_describe(entry)}"
+                )
+            return
+        result[pair] = entry
+        queue.append((pair, status))
+
+    while queue:
+        (a, b), status = queue.popleft()
+        if status == PROVEN:
+            proven_out.setdefault(a, set()).add(b)
+            proven_in.setdefault(b, set()).add(a)
+            for c in sorted(proven_out.get(b, ())):
+                derive((a, c), PROVEN, "R1", ((a, b), (b, c)))
+            for z in sorted(proven_in.get(a, ())):
+                derive((z, b), PROVEN, "R1", ((z, a), (a, b)))
+            for c in sorted(refuted_out.get(a, ())):
+                derive((b, c), REFUTED, "R2", ((a, b), (a, c)))
+            for z in sorted(refuted_in.get(b, ())):
+                derive((z, a), REFUTED, "R3", ((a, b), (z, b)))
+        else:
+            refuted_out.setdefault(a, set()).add(b)
+            refuted_in.setdefault(b, set()).add(a)
+            for mid in sorted(proven_out.get(a, ())):
+                derive((mid, b), REFUTED, "R2", ((a, mid), (a, b)))
+            for mid in sorted(proven_in.get(b, ())):
+                derive((a, mid), REFUTED, "R3", ((mid, b), (a, b)))
+    return result
+
+
+def _closed(close, before):
+    """The closed map as an ordered item list, or the error text."""
+    try:
+        return list(close(before).items())
+    except ConsistencyError as err:
+        return str(err)
+
+
+def _random_map(rng, ids, edges):
+    # arbitrary statuses, so many maps are inconsistent; pairs may be reflexive
+    before = {}
+    for _ in range(edges):
+        pair = (rng.randrange(ids), rng.randrange(ids))
+        method = rng.choice(("fmb-500i", "satur-500i"))
+        before[pair] = StatusEntry(rng.choice((PROVEN, REFUTED)), method)
+    return before
+
+
+def test_matches_the_set_based_worklist_on_random_maps():
+    rng = random.Random(51)
+    errors = reflexive = 0
+    for _ in range(3000):
+        before = _random_map(rng, ids=rng.randint(2, 9), edges=rng.randint(1, 30))
+        expected = _closed(_reference_propagate, before)
+        assert _closed(propagate, before) == expected
+        errors += isinstance(expected, str)
+        reflexive += any(a == b for a, b in before)
+    assert errors > 500 and reflexive > 500
+    for _ in range(300):
+        before = _random_consistent_map(rng, ids=8, edges=rng.randint(1, 40))
+        assert _closed(propagate, before) == _closed(_reference_propagate, before)
+
+
+def test_matches_the_set_based_worklist_on_a_hidden_preorder():
+    # law i implies law j exactly when j's feature set is a subset of i's; a
+    # third of the pairs are decided with their true status, in shuffled order
+    rng = random.Random(52)
+    feats = [sum(1 << f for f in range(10) if rng.random() < 0.5) for _ in range(100)]
+    pairs = list(itertools.permutations(range(1, 101), 2))
+    rng.shuffle(pairs)
+    before = {}
+    for a, b in pairs[: len(pairs) * 3 // 10]:
+        status = PROVEN if feats[b - 1] & ~feats[a - 1] == 0 else REFUTED
+        before[(a, b)] = StatusEntry(status, "satur-500i" if status == PROVEN else "fmb-500i")
+    closed = _closed(propagate, before)
+    assert closed == _closed(_reference_propagate, before)
+    assert len(closed) > 2 * len(before)

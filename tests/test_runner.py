@@ -613,6 +613,31 @@ def test_load_results_rejects_duplicates_and_bad_keys(tmp_path):
     out.write_text("[1, 2, 3]\n")
     with pytest.raises(ValueError, match="must be an object"):
         load_results(str(out))
+    payload["witness"] = "p"
+    bad_fields = [
+        ({"lhs": "a"}, "must be ints"),
+        ({"lhs": 2.5}, "must be ints"),
+        ({"rhs": True}, "must be ints"),
+        ({"lhs": 0}, "distinct positive"),
+        ({"rhs": -3}, "distinct positive"),
+        ({"rhs": 1}, "distinct positive"),
+        ({"stage": "x"}, "stage must be"),
+        ({"stage": -1}, "stage must be"),
+        ({"stage": True}, "stage must be"),
+        ({"stage": 1.0}, "stage must be"),
+        ({"seconds": -1.0}, "seconds must be"),
+        ({"seconds": False}, "seconds must be"),
+        ({"seconds": "0.1"}, "seconds must be"),
+        ({"seconds": float("nan")}, "seconds must be"),
+        ({"seconds": float("inf")}, "seconds must be"),
+        ({"method": 7}, "method must be a string"),
+        ({"witness": ["p"]}, "witness must be a string"),
+    ]
+    for change, message in bad_fields:
+        good = json.dumps({**payload, "lhs": 3, "rhs": 4}) + "\n"
+        out.write_text(good + json.dumps({**payload, **change}) + "\n")
+        with pytest.raises(ValueError, match=f"out.jsonl:2: .*{message}"):
+            load_results(str(out))
 
 
 # --- closing a log under the implication rules -------------------------------
