@@ -10,14 +10,15 @@ pair; a pair no stage decides is recorded as unsolved.  Runs are resumable:
 decided records from a previous log are kept and their pairs skipped, unsolved
 ones are retried.
 
-The model finder cannot refute a true implication, so ahead of the walk a
-decide-early phase settles what short prefixes of two stages decide: a slice
-of the first model finder stage's search, then a saturation probe on each
-pair still open.  It applies when the first stage is a step-budgeted model
-finder stage and the first saturation stage is step-budgeted too.  Both
-engines are deterministic under step budgets, so every record it writes is
-the one the stage-by-stage walk writes; a pair the probe proves skips the
-model finder stages before the probed stage.
+The walk is one list of engine attempts, each a stage with a budget and the
+statuses it may record.  The model finder cannot refute a true implication,
+so when the first stage is a step-budgeted model finder stage and the first
+saturation stage is step-budgeted too, the list opens with a decide-early
+phase: a slice of the first stage's search that records only refutations,
+then a saturation probe on each pair still open that records only proofs.
+Both engines are deterministic under step budgets, so every record the phase
+writes is the one the stages themselves write; a pair the probe proves skips
+the model finder stages before the probed stage.
 
 With more than one worker, each premise with its open pairs is one task for a
 pool of worker processes; the records come back in pair order and the calling
@@ -50,7 +51,7 @@ ENGINE_SATUR = "satur"
 
 CLOSURE_STAGE = 0  # derived records sit outside the schedule's 1-based stages
 
-# the decide-early phase (see _decide_early): model finder steps of the slice,
+# the decide-early phase (see _attempts): model finder steps of the slice,
 # and saturation iterations and wall seconds of each probe
 SLICE = 500
 K = 20
@@ -67,6 +68,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.engine not in (ENGINE_FMB, ENGINE_SATUR):
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.name.startswith("closure:"):
+            # verify takes such records for closure's and checks no witness
+            raise ValueError(f"stage name {self.name!r} is kept for derived records")
         amount = self.budget.steps if self.budget.steps is not None else self.budget.seconds
         if amount is None or amount <= 0:
             raise ValueError(f"stage {self.name!r} needs a positive budget")
@@ -218,33 +222,27 @@ def attempt_pair(corpus: Corpus, lhs: int, rhs: int, schedule: Schedule) -> Resu
 
 
 def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[ResultRecord]:
-    """Run stages in order on the pairs (lhs, rhs) for each rhs until one
-    decides it; returns their records in rhss order.  A model finder stage
-    searches the premise's models once for all conclusions still open, a
-    saturation stage attempts each open pair alone.  When the schedule allows
-    it, the decide-early phase (_decide_early) runs first and settles the
-    pairs it can with the records their stages would write; the walk skips
-    them.  Crashes inside an engine become unsolved records carrying the error
-    note."""
+    """Run the premise's engine attempts (see _attempts) in order on the pairs
+    (lhs, rhs) for each rhs until one decides it; returns their records in
+    rhss order.  A model finder attempt searches the premise's models once for
+    all conclusions still open, a saturation attempt tries each open pair
+    alone.  An outcome the attempt may not record leaves the pair open.
+    Crashes inside an engine become unsolved records carrying the error note."""
     premise = corpus.by_id(lhs)
     records: dict[int, ResultRecord] = {}
     spent = dict.fromkeys(rhss, 0.0)  # seconds of the attempts that left a pair open
-    probed = _probed_stage(schedule)
-    if probed is not None:
-        records, spent = _decide_early(corpus, lhs, rhss, schedule, probed)
-    for index, stage in enumerate(schedule.stages, 1):
+    for index, budget, statuses in _attempts(schedule):
         open_rhss = [rhs for rhs in rhss if rhs not in records]
         if not open_rhss:
             break
+        stage = schedule.stages[index - 1]
         conclusions = [corpus.by_id(rhs) for rhs in open_rhss]
         if stage.engine == ENGINE_FMB:
-            results = _fmb_stage(premise, conclusions, stage.max_size, stage.budget)
+            results = _fmb_stage(premise, conclusions, stage.max_size, budget)
         else:
-            results = [
-                _satur_stage(premise, conclusion, stage.budget) for conclusion in conclusions
-            ]
+            results = [_satur_stage(premise, conclusion, budget) for conclusion in conclusions]
         for rhs, (decided, seconds) in zip(open_rhss, results):
-            if decided is None:
+            if decided is None or decided[0] not in statuses:
                 spent[rhs] += seconds
                 continue
             status, witness = decided
@@ -257,54 +255,38 @@ def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[
     ]
 
 
-def _probed_stage(schedule: Schedule) -> int | None:
-    """The 1-based index of the saturation stage the decide-early phase
-    probes, or None when the phase does not apply: the first stage must be a
-    step-budgeted model finder stage and the first saturation stage
-    step-budgeted too."""
-    if schedule.stages[0].engine != ENGINE_FMB or schedule.stages[0].budget.seconds is not None:
-        return None
+def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
+    """The engine attempts on a premise's pairs, in order: (1-based stage
+    index, budget, statuses the attempt may record).  Each stage is one
+    attempt with its own budget that may record any status.
+
+    When the first stage is a step-budgeted model finder stage and the first
+    saturation stage S is step-budgeted too, the decide-early phase comes
+    first.  The slice is the first stage's shared search cut at SLICE steps.
+    Its walk is a prefix of the stage's own, so a countermodel it finds is the
+    one the stage finds; it records refutations only.  The probe is S's run
+    cut at K iterations and CAP seconds.  A proof found within K iterations is
+    the proof S's whole budget returns, and no model finder stage can refute a
+    true implication, so it records proofs only, as S's, and the pair skips
+    every model finder stage before S.
+    """
+    walk = [
+        (index, stage.budget, (PROVEN, REFUTED, UNSOLVED))
+        for index, stage in enumerate(schedule.stages, 1)
+    ]
+    first = schedule.stages[0]
+    if first.engine != ENGINE_FMB or first.budget.seconds is not None:
+        return walk
     for index, stage in enumerate(schedule.stages, 1):
         if stage.engine == ENGINE_SATUR:
-            return index if stage.budget.seconds is None else None
-    return None
-
-
-def _decide_early(corpus, lhs: int, rhss, schedule: Schedule, probed: int) -> tuple[dict, dict]:
-    """The records of the pairs (lhs, rhs) that short prefixes of two
-    deterministic stages decide, and the seconds spent on every pair.
-
-    The slice is the first stage's shared search cut at SLICE steps.  Its walk
-    is a prefix of the stage's own, so a countermodel it finds is the one the
-    stage finds; every other slice outcome is discarded.
-
-    Then each pair still open gets a probe: the probed saturation stage's run
-    cut at K iterations and CAP seconds.  A proof found within K iterations is
-    the proof the stage's whole budget returns, and no model finder stage can
-    refute a true implication, so the pair gets the stage's record and skips
-    every model finder stage before it.  Any other probe outcome, a crash
-    included, is discarded.
-    """
-    premise = corpus.by_id(lhs)
-    fmb, satur = schedule.stages[0], schedule.stages[probed - 1]
-    conclusions = [corpus.by_id(rhs) for rhs in rhss]
-    sliced = _fmb_stage(
-        premise, conclusions, fmb.max_size, Budget.of_steps(min(SLICE, fmb.budget.steps))
-    )
-    probe = Budget(steps=min(K, satur.budget.steps), seconds=CAP)
-    records: dict[int, ResultRecord] = {}
-    spent = dict.fromkeys(rhss, 0.0)
-    for rhs, conclusion, (decided, seconds) in zip(rhss, conclusions, sliced):
-        if decided is not None and decided[0] == REFUTED:
-            records[rhs] = ResultRecord(lhs, rhs, REFUTED, fmb.name, 1, seconds, decided[1])
-            continue
-        spent[rhs] += seconds
-        decided, seconds = _satur_stage(premise, conclusion, probe)
-        if decided is not None and decided[0] == PROVEN:
-            records[rhs] = ResultRecord(lhs, rhs, PROVEN, satur.name, probed, seconds, decided[1])
-        else:
-            spent[rhs] += seconds
-    return records, spent
+            if stage.budget.seconds is not None:
+                return walk
+            return [
+                (1, Budget.of_steps(min(SLICE, first.budget.steps)), (REFUTED,)),
+                (index, Budget(steps=min(K, stage.budget.steps), seconds=CAP), (PROVEN,)),
+                *walk,
+            ]
+    return walk
 
 
 def _fmb_stage(premise, conclusions, max_size: int, budget: Budget) -> list:
@@ -492,10 +474,13 @@ def propagate_log(path: str) -> int:
     """Close the log's statuses under the implication rules and add the derived
     records (method closure:R1|R2|R3, stage 0, no witness); returns how many
     new pairs were decided.  A pair that was unsolved directly but is decided
-    by closure gets its unsolved record replaced."""
+    by closure gets its unsolved record replaced.  A log closure adds nothing
+    to is not rewritten."""
     status_map, records = load_results(path)
     closed = propagate(status_map)
     derived = {pair: entry for pair, entry in closed.items() if pair not in status_map}
+    if not derived:
+        return 0  # leave the log, its inode and its mtime as they are
     kept = [
         record
         for record in records

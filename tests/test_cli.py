@@ -244,6 +244,19 @@ def test_closure_derives_and_is_idempotent(tmp_path, capsys):
     assert "derived 0 new results" in capsys.readouterr().out
 
 
+def test_closure_leaves_a_closed_log_untouched(tmp_path, capsys):
+    _, log = _mini_run(tmp_path, ["x*y = y*x", "(x*y)*z = x*(y*z)", "x = x"])
+    assert main(["closure", "--results", log]) == 0
+    capsys.readouterr()
+    before = os.stat(log)
+    text = pathlib.Path(log).read_bytes()
+    assert main(["closure", "--results", log]) == 0
+    assert "derived 0 new results" in capsys.readouterr().out
+    after = os.stat(log)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert pathlib.Path(log).read_bytes() == text
+
+
 def test_closure_conflict_exits_2(tmp_path, capsys):
     log = _write_log(
         tmp_path / "r.jsonl",

@@ -19,7 +19,16 @@ from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
 from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
 from eqimp import runner
 from eqimp.closure import PROVEN, REFUTED, StatusEntry
-from eqimp.models import eval_term, parse_countermodel, verify_equation
+from eqimp.models import (
+    FOUND,
+    Countermodel,
+    MagmaTable,
+    SearchOutcome,
+    eval_term,
+    format_countermodel,
+    parse_countermodel,
+    verify_equation,
+)
 from eqimp.runner import (
     CLOSURE_STAGE,
     ENGINE_FMB,
@@ -38,7 +47,14 @@ from eqimp.runner import (
     propagate_log,
     run,
 )
-from eqimp.saturation import PROVED, SATURATED, parse_proof, replay_proof
+from eqimp.saturation import (
+    PROVED,
+    SATURATED,
+    Proof,
+    SaturationOutcome,
+    parse_proof,
+    replay_proof,
+)
 from eqimp.terms import enumerate_pairs, load_corpus
 from eqimp.tptp import skolemize
 
@@ -88,6 +104,9 @@ def test_method_spec_validation():
         MethodSpec("x", ENGINE_FMB, Budget.of_steps(0))
     with pytest.raises(ValueError):
         MethodSpec("x", ENGINE_FMB, Budget.of_steps(10), max_size=1)
+    # verify skips the witness of a record whose method names a closure rule
+    with pytest.raises(ValueError, match="derived records"):
+        MethodSpec("closure:R9", ENGINE_FMB, Budget.of_steps(10))
 
 
 def test_schedule_validation():
@@ -149,6 +168,8 @@ def test_parse_schedule_errors():
         parse_schedule("# nothing but comments\n")
     with pytest.raises(ValueError, match="unique"):
         parse_schedule("s1 fmb steps 500\ns1 satur steps 500")
+    with pytest.raises(ValueError, match="line 2.*derived records"):
+        parse_schedule("s1 fmb steps 500\nclosure:R9 fmb steps 5000 max_size=4")
 
 
 def test_load_schedule(tmp_path):
@@ -395,6 +416,70 @@ def test_a_probe_that_raises_changes_no_record(tmp_path, monkeypatch):
     assert raised
 
 
+class _Clock:
+    """Stands in for the runner's time module: only the engine stubs move it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_decide_early_seconds_accounting(tmp_path, monkeypatch):
+    # scripted engines on a fake clock, in dyadic seconds so every sum is
+    # exact.  Per conclusion: whether the slice or the model finder stage
+    # refutes it (and when), and what the probe and the saturation stage do
+    # (seconds taken, then the outcome status or "raise")
+    corpus = _corpus(
+        tmp_path,
+        ["x = x", "x*y = y*x", "x*y = x", "x*x = x", "x = y", "(x*y)*z = x*(y*z)"],
+    )
+    schedule = _mini_schedule()
+    fmb_refutes = {2: ("slice", 0.25), 6: ("stage", 1.5)}
+    probes = {3: (0.125, PROVED), 4: (1.0, OUT_OF_BUDGET), 5: (0.0625, SATURATED),
+              6: (0.0625, SATURATED)}
+    stage_runs = {4: (4.0, OUT_OF_BUDGET), 5: (0.03125, "raise")}
+    clock = _Clock()
+    monkeypatch.setattr(runner, "time", clock)
+    table = MagmaTable.from_rows([[0, 0], [1, 1]])
+
+    def fmb(premise, conclusions, max_size, budget):
+        kind = "slice" if budget.steps == runner.SLICE else "stage"
+        clock.now += 0.5 if kind == "slice" else 2.0
+        outcomes = []
+        for conclusion in conclusions:
+            when, seconds = fmb_refutes.get(conclusion.id, (None, 0.0))
+            if when == kind:
+                outcomes.append(SearchOutcome(FOUND, Countermodel(table, (0, 1)), 2, 1, seconds))
+            else:
+                outcomes.append(SearchOutcome(OUT_OF_BUDGET, None, 4, budget.steps, 0.0))
+        return outcomes
+
+    goals = {skolemize(corpus.by_id(rhs)): rhs for rhs in range(2, 7)}
+
+    def satur(premise, goal, budget):
+        script = probes if budget.seconds == runner.CAP else stage_runs
+        seconds, status = script[goals[goal]]
+        clock.now += seconds
+        if status == "raise":
+            raise RuntimeError("boom")
+        return SaturationOutcome(status, Proof(()) if status == PROVED else None, 1)
+
+    monkeypatch.setattr(runner, "find_countermodels", fmb)
+    monkeypatch.setattr(runner, "saturate", satur)
+    records = attempt_premise(corpus, 1, (2, 3, 4, 5, 6), schedule)
+    assert [(r.rhs, r.status, r.stage, r.seconds) for r in records] == [
+        (2, REFUTED, 1, 0.25),  # the slice's time until its countermodel
+        (3, PROVEN, 2, 0.125),  # the probe's own time, without the slice
+        (4, UNSOLVED, None, 0.5 + 1.0 + 2.0 + 4.0),  # every attempt
+        (5, UNSOLVED, 2, 0.5 + 0.0625 + 2.0 + 0.03125),  # the crash plus every attempt before it
+        (6, REFUTED, 1, 1.5),  # the stage's time until its countermodel
+    ]
+    assert records[4].witness == format_countermodel(Countermodel(table, (0, 1)))
+    assert records[3].witness == "error:boom"
+
+
 def test_wall_budget_is_a_hard_stop(tmp_path):
     # trivial premise, tautological conclusion: no countermodel exists and
     # nothing prunes, so the model finder runs until the wall budget cuts it
@@ -478,7 +563,13 @@ def test_resume_keeps_decided_and_retries_unsolved(tmp_path):
 def test_log_rewrite_failing_midway_leaves_the_log_intact(tmp_path, monkeypatch, rewrite):
     corpus = _corpus(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
     out = tmp_path / "out.jsonl"
-    run(corpus, _mini_schedule(), RunConfig(str(out)))
+    records = run(corpus, _mini_schedule(), RunConfig(str(out)))
+    # (3, 2) made unsolved: closure derives it from (1, 3) and (1, 2), so it
+    # has a log to rewrite too
+    unsolved = ResultRecord(3, 2, UNSOLVED, None, None, 0.0, None)
+    out.write_text(
+        "".join(runner._record_line(unsolved if (r.lhs, r.rhs) == (3, 2) else r) for r in records)
+    )
     before = out.read_bytes()
     original = runner._record_line
     calls = []
