@@ -20,10 +20,14 @@ Both engines are deterministic under step budgets, so every record the phase
 writes is the one the stages themselves write; a pair the probe proves skips
 the model finder stages before the probed stage.
 
-With more than one worker, each premise with its open pairs is one task for a
-pool of worker processes; the records come back in pair order and the calling
-process alone writes the log.  Engines are deterministic for step budgets, so
-the log (ignoring elapsed seconds) is independent of worker count.
+Every run attempts the premise groups in the calling process first, in pair
+order.  With more than one worker, once those attempts have taken longer than
+starting the workers costs (POOL_AFTER), each remaining premise with its open
+pairs is one task for a pool of worker processes; the records come back in
+pair order and the calling process alone writes the log.  A run that finishes
+sooner never starts a worker.  Engines are deterministic for step budgets, so
+the log (ignoring elapsed seconds) is independent of worker count and of
+which process attempted a group.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ CLOSURE_STAGE = 0  # derived records sit outside the schedule's 1-based stages
 SLICE = 500
 K = 20
 CAP = 0.5
+# seconds of in-process attempts after which a run with more than one worker
+# hands its remaining premise groups to worker processes: about what spawning
+# two interpreters costs
+POOL_AFTER = 0.5
 
 
 @dataclass(frozen=True)
@@ -208,6 +216,16 @@ def _write_log(path: str, records) -> None:
         raise
 
 
+def _ends_with_newline(path: str) -> bool:
+    """Whether the file is empty or its last line is complete, so records can
+    be appended to it."""
+    with open(path, "rb") as handle:
+        if handle.seek(0, os.SEEK_END) == 0:
+            return True
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) == b"\n"
+
+
 def _record_from_dict(payload) -> ResultRecord:
     if not isinstance(payload, dict):
         raise ValueError("record must be an object")
@@ -330,17 +348,20 @@ def _satur_stage(premise, conclusion, budget: Budget) -> tuple:
 def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRecord]:
     """Decide every ordered pair of the corpus; returns all records in
     canonical (lhs, rhs) order and leaves the same set in the log file.
-    With workers > 1 the workers are spawned processes, so a script that
-    calls this needs the usual ``if __name__ == "__main__":`` guard."""
+    Premise groups are attempted in this process until that has taken
+    POOL_AFTER seconds; with workers > 1 the groups left then go to spawned
+    worker processes, so a script that calls this needs the usual
+    ``if __name__ == "__main__":`` guard."""
     done: dict[tuple[int, int], ResultRecord] = {}
     if config.resume and os.path.exists(config.out_path):
         _, previous = load_results(config.out_path, drop_torn_tail=True)
         for record in previous:
             if record.status != UNSOLVED:
                 done[(record.lhs, record.rhs)] = record
-        # rewrite the log to decided records only, so retried pairs cannot
-        # produce duplicate lines
-        _write_log(config.out_path, (done[pair] for pair in sorted(done)))
+        # drop unsolved records and a torn final line, so retried pairs cannot
+        # produce duplicate lines; a log with neither is left as it is
+        if len(done) < len(previous) or not _ends_with_newline(config.out_path):
+            _write_log(config.out_path, (done[pair] for pair in sorted(done)))
 
     todo = [pair for pair in enumerate_pairs(corpus) if pair not in done]
     # one task per premise: its pairs, in pair order
@@ -357,12 +378,13 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
             handle.write(_record_line(record))
             handle.flush()
 
-        if config.workers == 1:
-            for lhs, rhss in tasks:
-                for record in attempt_premise(corpus, lhs, rhss, schedule):
-                    write(record)
-        else:
-            _run_pool(corpus, schedule, config.workers, tasks, write)
+        started = time.monotonic()
+        for attempted, (lhs, rhss) in enumerate(tasks):
+            if config.workers > 1 and time.monotonic() - started >= POOL_AFTER:
+                _run_pool(corpus, schedule, config.workers, tasks[attempted:], write)
+                break
+            for record in attempt_premise(corpus, lhs, rhss, schedule):
+                write(record)
     return [records[pair] for pair in sorted(records)]
 
 
@@ -370,8 +392,8 @@ def _run_pool(corpus, schedule, workers, tasks, write) -> None:
     """Attempt the premise tasks in worker processes and write their records
     in task order.  A worker that dies breaks the pool: every pair still
     without a record is written as unsolved, so a resumed run retries it."""
-    # imported here so that runs with one worker and the CLI's other commands
-    # never load multiprocessing
+    # imported here so that runs that never start workers and the CLI's other
+    # commands never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context

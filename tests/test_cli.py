@@ -26,7 +26,8 @@ SRC = str(pathlib.Path(__file__).parent.parent / "src")
 MINI_SCHEDULE = "mini-fmb fmb steps 5000 max_size=4\nmini-satur satur steps 500\n"
 # a model finder stage alone, so no decide-early phase proves desk's true
 # implications first: each premise searches its whole step budget for them,
-# and a desk run keeps working for about a second after its first record
+# and a desk run outlasts runner.POOL_AFTER, starts its workers and keeps
+# working for about a second after that
 KILL_SCHEDULE = "slow-fmb fmb steps 20000 max_size=6\n"
 
 
@@ -104,9 +105,12 @@ def test_run_decides_small_corpus_and_resume_is_idempotent(tmp_path, capsys):
     eqs, log = _mini_run(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
     assert "6 pairs: 6 decided, 0 unsolved" in capsys.readouterr().out
     before = pathlib.Path(log).read_bytes()
+    stat = os.stat(log)
     sched = str(tmp_path / "sched.txt")
     assert main(["run", "--eqs", eqs, "--out", log, "--schedule", sched, "--resume"]) == 0
     assert pathlib.Path(log).read_bytes() == before
+    after = os.stat(log)  # left in place, not rewritten
+    assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
 
 
 def test_run_default_schedule_and_jobs(tmp_path, capsys):
@@ -123,16 +127,58 @@ def _python(*args, **kwargs):
     return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
+POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
+
+
+def _workers_of(pid):
+    """Pids of the spawned worker processes whose parent is pid, from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = pathlib.Path(f"/proc/{entry}/stat").read_text()
+            cmdline = pathlib.Path(f"/proc/{entry}/cmdline").read_bytes()
+        except OSError:
+            continue  # gone meanwhile
+        # the fields after the parenthesized command name: state, then ppid
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid and b"spawn_main" in cmdline:
+            found.append(int(entry))
+    return found
+
+
+def _wait_for_workers(child, log):
+    """Return once the run has written a record and spawned its workers."""
+    deadline = time.monotonic() + 60
+    while not (log.exists() and b"\n" in log.read_bytes() and _workers_of(child.pid)):
+        assert child.poll() is None, "the run ended without starting workers"
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
 def test_cli_import_loads_no_process_pool():
-    # cold starts of every command stay lean; only run --jobs N > 1 needs it
+    # cold starts of every command stay lean; only a run --jobs N > 1 that
+    # outlasts runner.POOL_AFTER needs it
     code = "import sys, eqimp.cli; print(sorted(m for m in sys.modules if m in {0!r}))"
-    probe = _python(
-        "-c", code.format({"multiprocessing", "concurrent.futures.process"}),
-        stdout=subprocess.PIPE, text=True,
-    )
+    probe = _python("-c", code.format(POOL_MODULES), stdout=subprocess.PIPE, text=True)
     out, _ = probe.communicate(timeout=60)
     assert probe.returncode == 0
     assert out.strip() == "[]"
+
+
+def test_short_parallel_run_starts_no_workers(tmp_path):
+    eqs = _write(tmp_path / "mini.eqs", "x*y = y*x\nx*y = x\nx = x\n")
+    sched = _write(tmp_path / "sched.txt", MINI_SCHEDULE)
+    argv = ["run", "--eqs", eqs, "--out", str(tmp_path / "out.jsonl"), "--schedule", sched,
+            "--jobs", "2"]
+    code = (
+        "import sys; from eqimp.cli import main; assert main({0!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m in {1!r}))"
+    )
+    probe = _python("-c", code.format(argv, POOL_MODULES), stdout=subprocess.PIPE, text=True)
+    out, _ = probe.communicate(timeout=60)
+    assert probe.returncode == 0
+    assert out.splitlines() == ["6 pairs: 6 decided, 0 unsolved", "[]"]
 
 
 def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, capsys):
@@ -145,10 +191,7 @@ def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, caps
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
     )
     try:
-        deadline = time.monotonic() + 60
-        while not (log.exists() and b"\n" in log.read_bytes()):
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
+        _wait_for_workers(child, log)
     finally:
         os.killpg(child.pid, signal.SIGKILL)
         child.wait(timeout=60)
@@ -173,10 +216,7 @@ def test_workers_exit_when_the_run_alone_is_killed(tmp_path):
     )
     group = child.pid  # the run leads its own session, workers included
     try:
-        deadline = time.monotonic() + 60
-        while not (log.exists() and b"\n" in log.read_bytes()):
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
+        _wait_for_workers(child, log)
         os.kill(child.pid, signal.SIGKILL)  # the run only, not its workers
         child.wait(timeout=60)
         assert len(log.read_bytes().splitlines()) < 380  # cut short

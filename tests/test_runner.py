@@ -8,6 +8,7 @@ of all multiplication tables up to size 3.
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -269,6 +270,13 @@ def _pinned_blocks(name):
     return blocks
 
 
+@pytest.fixture
+def pool_at_once(monkeypatch):
+    # runs this small finish before POOL_AFTER and would never start workers
+    monkeypatch.setattr(runner, "POOL_AFTER", 0.0)
+
+
+@pytest.mark.usefixtures("pool_at_once")
 def test_desk_records_come_from_the_pinned_files(tmp_path):
     # the default schedule's record of every desk pair follows from the
     # pinned outcomes of its first two stages run alone: fmb-500i's
@@ -539,6 +547,22 @@ def test_rerun_with_resume_changes_nothing(tmp_path):
     assert out.read_bytes() == before
 
 
+def test_resume_completes_a_final_record_that_lost_its_newline(tmp_path):
+    corpus = _corpus(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
+    out = tmp_path / "out.jsonl"
+    first = run(corpus, _mini_schedule(), RunConfig(str(out)))
+    lines = out.read_text().splitlines(keepends=True)
+    # five records, the fifth parsable but without its newline: the sixth
+    # pair's record must not be appended onto it
+    out.write_text("".join(lines[:4]) + lines[4].rstrip("\n"))
+    again = run(corpus, _mini_schedule(), RunConfig(str(out), resume=True))
+    strip = lambda rs: [dataclasses.replace(r, seconds=0.0) for r in rs]
+    assert strip(again) == strip(first)
+    _, logged = load_results(str(out))
+    assert logged[:5] == first[:5]
+    assert len(logged) == 6
+
+
 def test_resume_keeps_decided_and_retries_unsolved(tmp_path):
     corpus = _corpus(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
     out = tmp_path / "out.jsonl"
@@ -590,6 +614,7 @@ def test_log_rewrite_failing_midway_leaves_the_log_intact(tmp_path, monkeypatch,
     assert sorted(path.name for path in tmp_path.iterdir()) == ["mini.eqs", "out.jsonl"]
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_worker_count_does_not_change_results(tmp_path):
     corpus = _corpus(tmp_path, ["x = x", "x*y = y*x", "x*y = x", "x*x = x"])
     serial = run(corpus, _mini_schedule(), RunConfig(str(tmp_path / "a.jsonl"), workers=1))
@@ -598,6 +623,7 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert strip(serial) == strip(parallel)
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_log_lines_do_not_depend_on_worker_count(tmp_path):
     corpus = _corpus(tmp_path, ["x = x", "x*y = y*x", "x*y = x", "x*x = x", "x = y"])
     logs = []
@@ -607,6 +633,38 @@ def test_log_lines_do_not_depend_on_worker_count(tmp_path):
         logs.append(re.sub(r'"seconds": [^,]+, ', "", out.read_text()))
     assert logs[0] == logs[1]
     assert logs[0].count("\n") == 20
+
+
+@pytest.mark.parametrize("in_process", [0, 1, 5])
+def test_records_do_not_depend_on_when_the_pool_starts(tmp_path, monkeypatch, in_process):
+    # POOL_AFTER drops to 0 once `in_process` premise groups were attempted
+    # here, so the pool takes the groups after them; with all 5 it never starts
+    corpus = _corpus(tmp_path, ["x = x", "x*y = y*x", "x*y = x", "x*x = x", "x = y"])
+    serial = tmp_path / "serial.jsonl"
+    run(corpus, _mini_schedule(), RunConfig(str(serial)))
+    attempt_here, run_pool = runner.attempt_premise, runner._run_pool
+    here, pooled = [], []
+
+    def attempt_premise(corpus, lhs, rhss, schedule):
+        here.append(lhs)
+        if len(here) == in_process:
+            runner.POOL_AFTER = 0.0
+        return attempt_here(corpus, lhs, rhss, schedule)
+
+    def pool(corpus, schedule, workers, tasks, write):
+        pooled.extend(lhs for lhs, _ in tasks)
+        run_pool(corpus, schedule, workers, tasks, write)
+
+    monkeypatch.setattr(runner, "POOL_AFTER", 0.0 if in_process == 0 else math.inf)
+    monkeypatch.setattr(runner, "attempt_premise", attempt_premise)
+    monkeypatch.setattr(runner, "_run_pool", pool)
+    out = tmp_path / "parallel.jsonl"
+    records = run(corpus, _mini_schedule(), RunConfig(str(out), workers=2))
+    assert (here, pooled) == ([1, 2, 3, 4, 5][:in_process], [1, 2, 3, 4, 5][in_process:])
+    strip = lambda text: re.sub(r'"seconds": [^,]+, ', "", text)
+    assert strip(out.read_text()) == strip(serial.read_text())
+    _, logged = load_results(str(out))
+    assert records == logged
 
 
 def _returns_within(seconds, func, *args):
@@ -641,12 +699,13 @@ def _attempt_or_die(task):
     return runner._attempt(task)
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_dead_worker_becomes_unsolved_records_that_resume_retries(tmp_path, monkeypatch):
     corpus = _corpus(tmp_path, ["x = x", "x*y = y*x", "x*y = x", "x*x = x"])
     out = str(tmp_path / "out.jsonl")
-    monkeypatch.setattr(runner, "_attempt", _attempt_or_die)
-    records = _returns_within(60, run, corpus, _mini_schedule(), RunConfig(out, workers=2))
-    monkeypatch.undo()
+    with monkeypatch.context() as dying:
+        dying.setattr(runner, "_attempt", _attempt_or_die)
+        records = _returns_within(60, run, corpus, _mini_schedule(), RunConfig(out, workers=2))
     pairs = sorted(enumerate_pairs(corpus))
     assert [(record.lhs, record.rhs) for record in records] == pairs
     _, logged = load_results(out)  # rejects a second record for any pair
