@@ -21,13 +21,18 @@ writes is the one the stages themselves write; a pair the probe proves skips
 the model finder stages before the probed stage.
 
 Every run attempts the premise groups in the calling process first, in pair
-order.  With more than one worker, once those attempts have taken longer than
-starting the workers costs (POOL_AFTER), each remaining premise with its open
-pairs is one task for a pool of worker processes; the records come back in
-pair order and the calling process alone writes the log.  A run that finishes
-sooner never starts a worker.  Engines are deterministic for step budgets, so
-the log (ignoring elapsed seconds) is independent of worker count and of
-which process attempted a group.
+order.  With more than one worker that phase ends POOL_AFTER seconds into the
+run, about what starting the workers costs: every engine attempt is cut at
+that deadline, a group the cut leaves with an open pair is dropped unwritten,
+and it and each later premise with its open pairs become tasks for a pool of
+worker processes.  The records come back in pair order and the calling
+process alone writes the log.  A run that finishes sooner never starts a
+worker; one that does starts them once an engine next checks its budget
+after the deadline, and a worker repeats the cut group's attempts.  An
+attempt that ends before the cut decides what it would decide uncut, and
+engines are deterministic for step budgets, so the log (ignoring elapsed
+seconds) is independent of worker count and of which process attempted a
+group.
 """
 
 from __future__ import annotations
@@ -60,9 +65,9 @@ CLOSURE_STAGE = 0  # derived records sit outside the schedule's 1-based stages
 SLICE = 500
 K = 20
 CAP = 0.5
-# seconds of in-process attempts after which a run with more than one worker
-# hands its remaining premise groups to worker processes: about what spawning
-# two interpreters costs
+# seconds into a run with more than one worker at which its in-process
+# attempts are cut and the groups left go to worker processes: about what
+# spawning two interpreters costs
 POOL_AFTER = 0.5
 
 
@@ -239,13 +244,19 @@ def attempt_pair(corpus: Corpus, lhs: int, rhs: int, schedule: Schedule) -> Resu
     return attempt_premise(corpus, lhs, (rhs,), schedule)[0]
 
 
-def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[ResultRecord]:
+def attempt_premise(
+    corpus: Corpus, lhs: int, rhss, schedule: Schedule, deadline: float | None = None
+) -> list[ResultRecord] | None:
     """Run the premise's engine attempts (see _attempts) in order on the pairs
     (lhs, rhs) for each rhs until one decides it; returns their records in
     rhss order.  A model finder attempt searches the premise's models once for
     all conclusions still open, a saturation attempt tries each open pair
     alone.  An outcome the attempt may not record leaves the pair open.
-    Crashes inside an engine become unsolved records carrying the error note."""
+    Crashes inside an engine become unsolved records carrying the error note.
+
+    With a deadline (a time.monotonic() value) every attempt also stops at it;
+    once an attempt that ended past it leaves a pair open, the records are
+    abandoned and None is returned, since the uncut attempt might decide it."""
     premise = corpus.by_id(lhs)
     records: dict[int, ResultRecord] = {}
     spent = dict.fromkeys(rhss, 0.0)  # seconds of the attempts that left a pair open
@@ -256,10 +267,16 @@ def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[
         stage = schedule.stages[index - 1]
         conclusions = [corpus.by_id(rhs) for rhs in open_rhss]
         if stage.engine == ENGINE_FMB:
-            results = _fmb_stage(premise, conclusions, stage.max_size, budget)
+            results = _fmb_stage(premise, conclusions, stage.max_size, _cut(budget, deadline))
         else:
-            results = [_satur_stage(premise, conclusion, budget) for conclusion in conclusions]
+            results = [
+                _satur_stage(premise, conclusion, _cut(budget, deadline))
+                for conclusion in conclusions
+            ]
+        cut = deadline is not None and time.monotonic() >= deadline
         for rhs, (decided, seconds) in zip(open_rhss, results):
+            if decided is None and cut:
+                return None
             if decided is None or decided[0] not in statuses:
                 spent[rhs] += seconds
                 continue
@@ -271,6 +288,16 @@ def attempt_premise(corpus: Corpus, lhs: int, rhss, schedule: Schedule) -> list[
         records.get(rhs) or ResultRecord(lhs, rhs, UNSOLVED, None, None, spent[rhs], None)
         for rhs in rhss
     ]
+
+
+def _cut(budget: Budget, deadline: float | None) -> Budget:
+    """The budget, with its wall allowance ending by the deadline if any."""
+    if deadline is None:
+        return budget
+    left = max(0.0, deadline - time.monotonic())
+    if budget.seconds is not None:
+        left = min(left, budget.seconds)
+    return Budget(steps=budget.steps, seconds=left)
 
 
 def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
@@ -348,10 +375,10 @@ def _satur_stage(premise, conclusion, budget: Budget) -> tuple:
 def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRecord]:
     """Decide every ordered pair of the corpus; returns all records in
     canonical (lhs, rhs) order and leaves the same set in the log file.
-    Premise groups are attempted in this process until that has taken
-    POOL_AFTER seconds; with workers > 1 the groups left then go to spawned
-    worker processes, so a script that calls this needs the usual
-    ``if __name__ == "__main__":`` guard."""
+    Premise groups are attempted in this process; with workers > 1 the groups
+    not finished POOL_AFTER seconds in go to spawned worker processes, so a
+    script that calls this needs the usual ``if __name__ == "__main__":``
+    guard."""
     done: dict[tuple[int, int], ResultRecord] = {}
     if config.resume and os.path.exists(config.out_path):
         _, previous = load_results(config.out_path, drop_torn_tail=True)
@@ -378,12 +405,15 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
             handle.write(_record_line(record))
             handle.flush()
 
-        started = time.monotonic()
+        deadline = time.monotonic() + POOL_AFTER if config.workers > 1 else None
         for attempted, (lhs, rhss) in enumerate(tasks):
-            if config.workers > 1 and time.monotonic() - started >= POOL_AFTER:
+            group = None
+            if deadline is None or time.monotonic() < deadline:
+                group = attempt_premise(corpus, lhs, rhss, schedule, deadline)
+            if group is None:
                 _run_pool(corpus, schedule, config.workers, tasks[attempted:], write)
                 break
-            for record in attempt_premise(corpus, lhs, rhss, schedule):
+            for record in group:
                 write(record)
     return [records[pair] for pair in sorted(records)]
 

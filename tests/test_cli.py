@@ -14,6 +14,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from eqimp.cli import main
 from eqimp.models import parse_countermodel, format_countermodel, Countermodel, MagmaTable
 from eqimp.saturation import Proof, format_proof, parse_proof
@@ -147,6 +149,10 @@ def _workers_of(pid):
     return found
 
 
+# the kill tests find the run's workers in the process table under /proc
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to list workers")
+
+
 def _wait_for_workers(child, log):
     """Return once the run has written a record and spawned its workers."""
     deadline = time.monotonic() + 60
@@ -181,6 +187,7 @@ def test_short_parallel_run_starts_no_workers(tmp_path):
     assert out.splitlines() == ["6 pairs: 6 decided, 0 unsolved", "[]"]
 
 
+@needs_proc
 def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, capsys):
     sched = _write(tmp_path / "sched.txt", KILL_SCHEDULE)
     log = tmp_path / "killed.jsonl"
@@ -206,6 +213,7 @@ def test_killed_parallel_run_resumes_to_the_uninterrupted_records(tmp_path, caps
     assert strip(log.read_text()) == strip(pathlib.Path(reference).read_text())
 
 
+@needs_proc
 def test_workers_exit_when_the_run_alone_is_killed(tmp_path):
     sched = _write(tmp_path / "sched.txt", KILL_SCHEDULE)
     log = tmp_path / "orphans.jsonl"

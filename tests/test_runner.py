@@ -8,11 +8,11 @@ of all multiplication tables up to size 3.
 
 import dataclasses
 import json
-import math
 import os
 import pathlib
 import re
 import threading
+import time
 
 import pytest
 
@@ -635,36 +635,61 @@ def test_log_lines_do_not_depend_on_worker_count(tmp_path):
     assert logs[0].count("\n") == 20
 
 
-@pytest.mark.parametrize("in_process", [0, 1, 5])
+@pytest.mark.parametrize("in_process", [1, 5])
 def test_records_do_not_depend_on_when_the_pool_starts(tmp_path, monkeypatch, in_process):
-    # POOL_AFTER drops to 0 once `in_process` premise groups were attempted
-    # here, so the pool takes the groups after them; with all 5 it never starts
+    # the premise group after the first `in_process` ones is attempted with its
+    # deadline already passed, so it is dropped unwritten and the pool takes it
+    # and the groups after it; with all 5 the pool never starts.  A pool that
+    # takes every group is test_log_lines_do_not_depend_on_worker_count's case
     corpus = _corpus(tmp_path, ["x = x", "x*y = y*x", "x*y = x", "x*x = x", "x = y"])
     serial = tmp_path / "serial.jsonl"
     run(corpus, _mini_schedule(), RunConfig(str(serial)))
     attempt_here, run_pool = runner.attempt_premise, runner._run_pool
     here, pooled = [], []
 
-    def attempt_premise(corpus, lhs, rhss, schedule):
+    def attempt_premise(corpus, lhs, rhss, schedule, deadline):
         here.append(lhs)
-        if len(here) == in_process:
-            runner.POOL_AFTER = 0.0
-        return attempt_here(corpus, lhs, rhss, schedule)
+        if len(here) > in_process:
+            deadline = time.monotonic()
+        return attempt_here(corpus, lhs, rhss, schedule, deadline)
 
     def pool(corpus, schedule, workers, tasks, write):
         pooled.extend(lhs for lhs, _ in tasks)
         run_pool(corpus, schedule, workers, tasks, write)
 
-    monkeypatch.setattr(runner, "POOL_AFTER", 0.0 if in_process == 0 else math.inf)
+    monkeypatch.setattr(runner, "POOL_AFTER", 3600.0)
     monkeypatch.setattr(runner, "attempt_premise", attempt_premise)
     monkeypatch.setattr(runner, "_run_pool", pool)
     out = tmp_path / "parallel.jsonl"
     records = run(corpus, _mini_schedule(), RunConfig(str(out), workers=2))
-    assert (here, pooled) == ([1, 2, 3, 4, 5][:in_process], [1, 2, 3, 4, 5][in_process:])
+    assert (here, pooled) == ([1, 2, 3, 4, 5][: in_process + 1], [1, 2, 3, 4, 5][in_process:])
     strip = lambda text: re.sub(r'"seconds": [^,]+, ', "", text)
     assert strip(out.read_text()) == strip(serial.read_text())
     _, logged = load_results(str(out))
     assert records == logged
+
+
+def test_a_wall_clock_stage_is_cut_so_the_pool_starts_on_time(tmp_path, monkeypatch):
+    # commutativity implies the second law, so the model finder searches its
+    # whole minute for a countermodel; the in-process attempt stops at
+    # POOL_AFTER and the first group goes to the pool with the rest
+    corpus = _corpus(tmp_path, ["x*y = y*x", "x*(y*z) = (z*y)*x"])
+    schedule = parse_schedule("wall-fmb fmb seconds 60 max_size=6\n")
+    handed = []
+
+    def pool(corpus, schedule, workers, tasks, write):
+        handed.append((time.monotonic(), tasks))
+        for lhs, rhss in tasks:
+            for rhs in rhss:
+                write(ResultRecord(lhs, rhs, UNSOLVED, None, None, 0.0, None))
+
+    monkeypatch.setattr(runner, "POOL_AFTER", 0.2)
+    monkeypatch.setattr(runner, "_run_pool", pool)
+    started = time.monotonic()
+    run(corpus, schedule, RunConfig(str(tmp_path / "out.jsonl"), workers=2))
+    [(when, tasks)] = handed
+    assert tasks == [(1, (2,)), (2, (1,))]
+    assert when - started < 5
 
 
 def _returns_within(seconds, func, *args):
