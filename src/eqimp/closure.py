@@ -141,8 +141,3 @@ def propagate(statuses: StatusMap) -> StatusMap:
             derive(proven_out.get(a, 0), b, False, REFUTED, "R2", lambda m: ((a, m), (a, b)))
             derive(proven_in.get(b, 0), a, True, REFUTED, "R3", lambda m: ((m, b), (a, b)))
     return result
-
-
-def derived_count(before: StatusMap, after: StatusMap) -> int:
-    """Pairs undecided in before and decided in after."""
-    return sum(1 for pair in after if pair not in before)

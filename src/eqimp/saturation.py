@@ -21,7 +21,6 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .budget import OUT_OF_BUDGET, Budget, BudgetMeter, UNLIMITED
@@ -60,10 +59,9 @@ class Cmp(Enum):
 GT, LT, EQ, INC = Cmp.GT, Cmp.LT, Cmp.EQ, Cmp.INC
 
 
-@lru_cache(maxsize=None)
-def _shape(term: Term) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(weight, sorted (var index, occurrences)).  Every symbol weighs 1, so
-    the weight is the term's size."""
+def _shape(term: Term) -> tuple[int, dict[int, int]]:
+    """(weight, occurrences of each variable index).  Every symbol weighs 1,
+    so the weight is the term's size."""
     size = 0
     var_counts: dict[int, int] = {}
     stack = [term]
@@ -75,7 +73,7 @@ def _shape(term: Term) -> tuple[int, tuple[tuple[int, int], ...]]:
         elif isinstance(t, Op):
             stack.append(t.left)
             stack.append(t.right)
-    return size, tuple(sorted(var_counts.items()))
+    return size, var_counts
 
 
 def _head_rank(term: Term) -> tuple[int, int]:
@@ -88,10 +86,8 @@ def _head_rank(term: Term) -> tuple[int, int]:
 def kbo_compare(s: Term, t: Term) -> Cmp:
     if s == t:
         return EQ
-    ws, vars_s = _shape(s)
-    wt, vars_t = _shape(t)
-    vs = dict(vars_s)
-    vt = dict(vars_t)
+    ws, vs = _shape(s)
+    wt, vt = _shape(t)
     s_covers = all(vs.get(i, 0) >= k for i, k in vt.items())
     t_covers = all(vt.get(i, 0) >= k for i, k in vs.items())
     if ws > wt:
@@ -367,7 +363,7 @@ def _try_rewrite_root(term, rules):
         subst = match(src, term)
         if subst is None:
             continue
-        extra = [i for i, _ in _shape(tgt)[1] if i not in subst]
+        extra = [i for i in _shape(tgt)[1] if i not in subst]
         if extra:
             # fill unmatched target variables with the least constant; only
             # safe to decide termination by ordering when the redex is ground
@@ -459,14 +455,16 @@ def _overlaps(inner, outer, include_root, meter):
         mgu = unify(sub, s_in)
         if mgu is None:
             continue
-        # discard overlaps whose instances flip against the ordering
-        if kbo_compare(apply_subst(t_out, mgu), apply_subst(s_out, mgu)) == GT:
-            continue
-        if kbo_compare(apply_subst(t_in, mgu), apply_subst(s_in, mgu)) == GT:
-            continue
+        # discard overlaps whose instances flip against the ordering; mgu
+        # unifies sub with s_in, so the peak holds s_in's instance at pos
         peak = apply_subst(s_out, mgu)
         left = apply_subst(t_out, mgu)
-        right = replace_at(peak, pos, apply_subst(t_in, mgu))
+        if kbo_compare(left, peak) == GT:
+            continue
+        target = apply_subst(t_in, mgu)
+        if kbo_compare(target, subterm_at(peak, pos)) == GT:
+            continue
+        right = replace_at(peak, pos, target)
         if left == right:
             continue
         back = use_out._replace(flip=not use_out.flip, subst=mgu)
@@ -518,10 +516,12 @@ def saturate(
     seen: set[Equation] = set()
 
     def unseen(key: Equation) -> bool:
-        """Record a canonical equation; False when it or its flip was seen."""
-        if key in seen or canonicalize(Equation(key.rhs, key.lhs)) in seen:
+        """Record a canonical equation and its canonical flip; False when it
+        was seen either way round."""
+        if key in seen:
             return False
         seen.add(key)
+        seen.add(canonicalize(Equation(key.rhs, key.lhs)))
         return True
 
     def enqueue(key, left, right, derivation):
@@ -605,14 +605,16 @@ def saturate(
 def replay_proof(proof: Proof, axiom: Equation, goal: GroundDiseq) -> ReplayResult:
     """Re-execute a proof by matching and substitution only.
 
-    Each step must rewrite the current term at the stated position with the
-    stated axiom instance (in either orientation), and the final term must be
+    Each step must name the axiom's id (1 when it has none), as saturate
+    does, and rewrite the current term at the stated position with the
+    stated axiom instance (in either orientation); the final term must be
     the goal's right side.  The failed step index is reported otherwise; index
     len(steps) means the conversion stopped short of the goal."""
+    ax_id = axiom.id if axiom.id is not None else 1
     axiom = canonicalize(axiom)
     current = goal.left
     for index, step in enumerate(proof.steps):
-        if step.before != current:
+        if step.eq_id != ax_id or step.before != current:
             return ReplayResult(False, index)
         try:
             sub = subterm_at(current, step.pos)

@@ -409,6 +409,19 @@ def test_verify_tampered_proof_exits_2(tmp_path, capsys):
     assert "pair (1, 2)" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_step_naming_another_equation(tmp_path, capsys):
+    # every step of a proof of (2, 1) rewrites with premise 2; the same steps
+    # credited to equation 1 are not that premise's proof
+    eqs, log = _mini_run(tmp_path, ["x*y = y*x", "x*y = u*w"])
+    capsys.readouterr()
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 0
+    assert " with eq 2 " in pathlib.Path(log).read_text()
+    _tamper(log, (2, 1), lambda witness: witness.replace(" with eq 2 ", " with eq 1 "))
+    capsys.readouterr()
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+    assert "pair (2, 1): proof rejected at step 1" in capsys.readouterr().err
+
+
 def test_verify_unreadable_witness_exits_2(tmp_path, capsys):
     eqs, log = _mini_run(tmp_path, ["x*y = y*x", "(x*y)*z = x*(y*z)"])
     _tamper(log, (1, 2), lambda witness: "not a table at all")

@@ -610,6 +610,26 @@ def test_desk_proofs_match_the_pinned_text():
     assert got == expected
 
 
+def test_random_law_outcomes_match_the_pinned_text():
+    # random8.eqs holds eight random laws, some with unorientable equations;
+    # a 10-iteration budget leaves some pairs proved, some saturated and some
+    # out of budget, and every status and step count is pinned with the proofs
+    corpus = load_corpus(str(DATA / "random8.eqs"))
+    lines = []
+    for lhs, rhs in enumerate_pairs(corpus):
+        premise, goal = corpus.by_id(lhs), skolemize(corpus.by_id(rhs))
+        outcome = saturate(premise, goal, Budget.of_steps(10))
+        lines.append(f"pair {lhs} {rhs} {outcome.status} steps={outcome.steps_used}")
+        if outcome.status == PROVED:
+            assert replay_proof(outcome.proof, premise, goal).accepted, (lhs, rhs)
+            if outcome.proof.steps:
+                lines.append(format_proof(outcome.proof))
+    got = "\n".join(lines) + "\n"
+    statuses = {line.split()[3] for line in lines if line.startswith("pair ")}
+    assert statuses == {PROVED, SATURATED, OUT_OF_BUDGET}
+    assert got == (DATA / "random8_satur10i_outcomes.txt").read_text(encoding="utf-8")
+
+
 def test_long_chains_stay_cheap():
     # the chains of this pair's derived equations grow steeply with each
     # iteration (building all of them took 18 s at 10 iterations); only a
