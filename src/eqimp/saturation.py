@@ -37,8 +37,8 @@ from .terms import (
     parse_term,
     positions,
     replace_at,
+    shape,
     subterm_at,
-    term_size,
     var_name,
     variables,
     _var_index,
@@ -59,23 +59,6 @@ class Cmp(Enum):
 GT, LT, EQ, INC = Cmp.GT, Cmp.LT, Cmp.EQ, Cmp.INC
 
 
-def _shape(term: Term) -> tuple[int, dict[int, int]]:
-    """(weight, occurrences of each variable index).  Every symbol weighs 1,
-    so the weight is the term's size."""
-    size = 0
-    var_counts: dict[int, int] = {}
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        size += 1
-        if isinstance(t, Var):
-            var_counts[t.index] = var_counts.get(t.index, 0) + 1
-        elif isinstance(t, Op):
-            stack.append(t.left)
-            stack.append(t.right)
-    return size, var_counts
-
-
 def _head_rank(term: Term) -> tuple[int, int]:
     # precedence: a < b < c < ... < op
     if isinstance(term, Const):
@@ -86,8 +69,8 @@ def _head_rank(term: Term) -> tuple[int, int]:
 def kbo_compare(s: Term, t: Term) -> Cmp:
     if s == t:
         return EQ
-    ws, vs = _shape(s)
-    wt, vt = _shape(t)
+    ws, vs = shape(s)
+    wt, vt = shape(t)
     s_covers = all(vs.get(i, 0) >= k for i, k in vt.items())
     t_covers = all(vt.get(i, 0) >= k for i, k in vs.items())
     if ws > wt:
@@ -140,61 +123,32 @@ def match(pattern: Term, subject: Term) -> Subst | None:
     return subst
 
 
-def _occurs(index: int, term: Term, subst: Subst) -> bool:
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            if t.index == index:
-                return True
-            if t.index in subst:
-                stack.append(subst[t.index])
-        elif isinstance(t, Op):
-            stack.append(t.left)
-            stack.append(t.right)
-    return False
-
-
-def _resolve(term: Term, subst: Subst) -> Term:
-    while isinstance(term, Var) and term.index in subst:
-        term = subst[term.index]
-    return term
-
-
 def unify(s: Term, t: Term) -> Subst | None:
-    """Most general unifier with occurs check, or None."""
+    """Most general unifier with occurs check, or None.  Each binding is
+    applied at once to the pairs still open and to the earlier bindings, so
+    the substitution is idempotent at every step; the left side's variable
+    is bound first."""
     subst: Subst = {}
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        a = _resolve(a, subst)
-        b = _resolve(b, subst)
         if a == b:
             continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
         if isinstance(a, Var):
-            if _occurs(a.index, b, subst):
+            if a.index in variables(b):
                 return None
+            binding = {a.index: b}
+            subst = {i: apply_subst(v, binding) for i, v in subst.items()}
             subst[a.index] = b
-        elif isinstance(b, Var):
-            if _occurs(b.index, a, subst):
-                return None
-            subst[b.index] = a
+            stack = [(apply_subst(l, binding), apply_subst(r, binding)) for l, r in stack]
         elif isinstance(a, Op) and isinstance(b, Op):
             stack.append((a.left, b.left))
             stack.append((a.right, b.right))
         else:
             return None
-    # flatten the triangular bindings into an idempotent substitution
-    def deep(term: Term) -> Term:
-        match term:
-            case Var(index):
-                return deep(subst[index]) if index in subst else term
-            case Op(left, right):
-                return Op(deep(left), deep(right))
-            case _:
-                return term
-
-    return {index: deep(value) for index, value in subst.items()}
+    return subst
 
 
 # --- proof steps --------------------------------------------------------------
@@ -363,11 +317,11 @@ def _try_rewrite_root(term, rules):
         subst = match(src, term)
         if subst is None:
             continue
-        extra = [i for i in _shape(tgt)[1] if i not in subst]
+        extra = [i for i in shape(tgt)[1] if i not in subst]
         if extra:
             # fill unmatched target variables with the least constant; only
             # safe to decide termination by ordering when the redex is ground
-            if _shape(term)[1]:
+            if shape(term)[1]:
                 continue
             for i in extra:
                 subst[i] = Const(0)
@@ -417,13 +371,13 @@ def _normalize_traced(term, rules):
         term = new_term
 
 
-def orient_equation(eq: Equation, eq_id: int | None = None) -> ProcessedEq | None:
-    """Canonicalize and orient an equation; None when it is trivial (s = s)."""
+def orient_equation(eq: Equation) -> ProcessedEq | None:
+    """Canonicalize and orient an equation; None when it is trivial (s = s).
+    Its axiom step names the equation's id, or 1 when it has none."""
     eq = canonicalize(eq)
     if eq.lhs == eq.rhs:
         return None
-    if eq_id is None:
-        eq_id = eq.id if eq.id is not None else 1
+    eq_id = eq.id if eq.id is not None else 1
     # canonical numbering makes first-occurrence order ascending
     identity = tuple((i, Var(i)) for i in variables(eq.lhs, eq.rhs))
     derivation = Derivation((Step((), identity, eq.lhs, eq.rhs, eq_id),))
@@ -508,7 +462,6 @@ def saturate(
     """Prove or refute goal.left = goal.right from one universally
     quantified axiom.  Returns Proved with a replayable proof, Saturated when
     the equation set closes without joining the goal, or OutOfBudget."""
-    ax_id = axiom.id if axiom.id is not None else 1
     meter = BudgetMeter(budget)
 
     queue: list[tuple[int, int, Term, Term, Derivation]] = []
@@ -529,12 +482,10 @@ def saturate(
         nonlocal serial
         if not unseen(key):
             return
-        heapq.heappush(
-            queue, (term_size(left) + term_size(right), serial, left, right, derivation)
-        )
+        heapq.heappush(queue, (shape(left, right)[0], serial, left, right, derivation))
         serial += 1
 
-    base = orient_equation(axiom, ax_id)
+    base = orient_equation(axiom)
     if base is not None:
         enqueue(Equation(base.lhs, base.rhs), base.lhs, base.rhs, base.derivation)
 
@@ -669,7 +620,9 @@ def parse_proof(text: str) -> Proof:
         m = _STEP_RE.match(line.strip())
         if m is None:
             raise ValueError(f"bad proof line {lineno}")
-        _, pos_text, eq_id, subst_text, before, after = m.groups()
+        number, pos_text, eq_id, subst_text, before, after = m.groups()
+        if int(number) != len(steps) + 1:
+            raise ValueError(f"step {number} on line {lineno} should be step {len(steps) + 1}")
         subst = []
         if subst_text:
             for item in subst_text.split(","):

@@ -238,41 +238,33 @@ def apply_subst(term: Term, subst: Subst) -> Term:
             return term
 
 
-def _collect_vars(term: Term, order: list[int], seen: set[int]) -> None:
-    match term:
-        case Var(index):
-            if index not in seen:
-                seen.add(index)
-                order.append(index)
-        case Op(left, right):
-            _collect_vars(left, order, seen)
-            _collect_vars(right, order, seen)
-        case Const():
-            pass
+def shape(*terms: Term) -> tuple[int, dict[int, int]]:
+    """(size, occurrences of each variable index) of the terms together.  The
+    dict is keyed by first occurrence in preorder, earlier terms first."""
+    size = 0
+    counts: dict[int, int] = {}
+    stack = list(reversed(terms))
+    while stack:
+        t = stack.pop()
+        size += 1
+        if isinstance(t, Var):
+            counts[t.index] = counts.get(t.index, 0) + 1
+        elif isinstance(t, Op):
+            stack.append(t.right)
+            stack.append(t.left)
+    return size, counts
 
 
 def variables(*terms: Term) -> list[int]:
     """Distinct variable indexes of the terms, by first occurrence in preorder,
     earlier terms first."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for term in terms:
-        _collect_vars(term, order, seen)
-    return order
+    return list(shape(*terms)[1])
 
 
 def canonicalize(eq: Equation) -> Equation:
     """Renumber variables by first occurrence, lhs before rhs, preorder."""
     rename = {old: Var(new) for new, old in enumerate(variables(eq.lhs, eq.rhs))}
     return Equation(apply_subst(eq.lhs, rename), apply_subst(eq.rhs, rename), id=eq.id)
-
-
-def term_size(term: Term) -> int:
-    match term:
-        case Op(left, right):
-            return 1 + term_size(left) + term_size(right)
-        case _:
-            return 1
 
 
 # --- term positions --------------------------------------------------------

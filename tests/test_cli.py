@@ -422,6 +422,17 @@ def test_verify_rejects_a_step_naming_another_equation(tmp_path, capsys):
     assert "pair (2, 1): proof rejected at step 1" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_misnumbered_step(tmp_path, capsys):
+    # renumbering the steps leaves every rewrite replayable, but the witness
+    # no longer reads as a proof trace
+    eqs, log = _mini_run(tmp_path, ["x*y = u*w", "x*y = y*x"])
+    _tamper(log, (1, 2), lambda witness: witness.replace("step 1:", "step 7:", 1))
+    assert "step 7: " in pathlib.Path(log).read_text()
+    capsys.readouterr()
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+    assert "pair (1, 2): unreadable proof: step 7 on line 1" in capsys.readouterr().err
+
+
 def test_verify_unreadable_witness_exits_2(tmp_path, capsys):
     eqs, log = _mini_run(tmp_path, ["x*y = y*x", "(x*y)*z = x*(y*z)"])
     _tamper(log, (1, 2), lambda witness: "not a table at all")

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 import sys
@@ -42,7 +43,7 @@ from eqimp.terms import (
     enumerate_pairs,
     load_corpus,
     parse_equation,
-    term_size,
+    variables,
 )
 from eqimp.tptp import GroundDiseq, skolemize
 
@@ -72,6 +73,10 @@ def _ref_vars(term):
     return counts
 
 
+def _ref_size(term):
+    return 1 + _ref_size(term.left) + _ref_size(term.right) if isinstance(term, Op) else 1
+
+
 def _ref_head(term):
     return 10**9 if isinstance(term, Op) else term.index
 
@@ -80,7 +85,7 @@ def _ref_gt(s, t):
     sv, tv = _ref_vars(s), _ref_vars(t)
     if any(count > sv.get(v, 0) for v, count in tv.items()):
         return False
-    ws, wt = term_size(s), term_size(t)
+    ws, wt = _ref_size(s), _ref_size(t)
     if ws != wt:
         return ws > wt
     # no unary symbols, so the f^n(x) special case cannot arise
@@ -225,6 +230,9 @@ def test_unify_examples():
     assert unify(A, B) is None
     assert unify(A, Var(0)) == {0: A}
     assert unify(A, A) == {}
+    # the left side's variable is bound first
+    assert unify(Var(0), Var(1)) == {0: Var(1)}
+    assert unify(Op(Var(0), Var(1)), Op(Var(1), Var(0))) == {1: Var(0)}
 
 
 def test_unifier_unifies_and_is_idempotent():
@@ -241,6 +249,36 @@ def test_unifier_unifies_and_is_idempotent():
         assert left == right
         assert apply_subst(left, subst) == left
     assert unified > 200
+
+
+def test_unifier_is_most_general():
+    # s and t each generalize r·rho, cutting subterms out into fresh
+    # variables, so theta (rho plus each cut variable's subterm) unifies them;
+    # theta must factor through the computed unifier mu
+    rng = random.Random(48)
+    for _ in range(1_000):
+        rho = {i: random_term(rng, 2, 3, num_consts=2) for i in range(3)}
+        theta = dict(rho)
+        fresh = itertools.count(10)
+
+        def generalize(term):
+            if rng.random() < 0.25:
+                index = next(fresh)
+                theta[index] = apply_subst(term, rho)
+                return Var(index)
+            if isinstance(term, Op):
+                return Op(generalize(term.left), generalize(term.right))
+            return term
+
+        r = random_term(rng, 4, 3, num_consts=2)
+        s, t = generalize(r), generalize(r)
+        assert apply_subst(s, theta) == apply_subst(t, theta)
+        mu = unify(s, t)
+        assert mu is not None
+        lam = match(apply_subst(s, mu), apply_subst(s, theta))
+        assert lam is not None
+        for i in variables(s, t):
+            assert apply_subst(apply_subst(Var(i), mu), lam) == apply_subst(Var(i), theta)
 
 
 def test_match_found_by_oracle_search():
@@ -363,42 +401,53 @@ def test_critical_pairs_comm_assoc_contains_expected():
 
 
 def test_critical_pairs_found_by_brute_force_oracle():
-    # every overlap the oracle finds by unifying subterms must appear, up to
-    # orientation, in the computed set, and vice versa (comm x assoc here);
-    # the oracle enumerates side pairs and positions directly, with no
-    # orientation bookkeeping beyond the instantiated downhill check
-    from eqimp.terms import positions, print_equation, replace_at
+    # the oracle unifies every non-variable subterm of one equation's side
+    # with a side of the other (into e2 with the root, into e1 without it) and
+    # keeps an overlap unless an instantiated ordering check sees it go uphill;
+    # the computed pairs must be exactly its pairs, orientation included
+    from eqimp.terms import positions, replace_at
 
-    def oracle(e1, e2):
-        found = []
+    def oracle(e1, e2, skip=None):
         shift = {i: Var(i + 10) for i in range(6)}
-        for l1, r1 in ((e1.lhs, e1.rhs), (e1.rhs, e1.lhs)):
-            for l2raw, r2raw in ((e2.lhs, e2.rhs), (e2.rhs, e2.lhs)):
-                l2, r2 = apply_subst(l2raw, shift), apply_subst(r2raw, shift)
-                for pos, sub in positions(l2):
-                    if isinstance(sub, Var):
-                        continue
-                    mgu = unify(sub, l1)
-                    if mgu is None:
-                        continue
-                    if kbo_compare(apply_subst(r2, mgu), apply_subst(l2, mgu)) == Cmp.GT:
-                        continue
-                    if kbo_compare(apply_subst(r1, mgu), apply_subst(l1, mgu)) == Cmp.GT:
-                        continue
-                    peak = apply_subst(l2, mgu)
-                    left = apply_subst(r2, mgu)
-                    right = replace_at(peak, pos, apply_subst(r1, mgu))
-                    if left != right:
-                        found.append(canonicalize(Equation(left, right)))
+        e2 = Equation(apply_subst(e2.lhs, shift), apply_subst(e2.rhs, shift))
+        found = Counter()
+        for inner, outer, root in ((e1, e2, True), (e2, e1, False)):
+            for l1, r1 in ((inner.lhs, inner.rhs), (inner.rhs, inner.lhs)):
+                for l2, r2 in ((outer.lhs, outer.rhs), (outer.rhs, outer.lhs)):
+                    if Cmp.GT in (kbo_compare(r1, l1), kbo_compare(r2, l2)):
+                        continue  # a side that always goes uphill is never rewritten
+                    for pos, sub in positions(l2):
+                        if isinstance(sub, Var) or (pos == () and not root):
+                            continue
+                        mgu = unify(sub, l1)
+                        if mgu is None:
+                            continue
+                        peak, left = apply_subst(l2, mgu), apply_subst(r2, mgu)
+                        target = apply_subst(r1, mgu)
+                        if skip != "outer" and kbo_compare(left, peak) == Cmp.GT:
+                            continue
+                        if skip != "inner" and kbo_compare(target, apply_subst(l1, mgu)) == Cmp.GT:
+                            continue
+                        right = replace_at(peak, pos, target)
+                        if left != right:
+                            found[canonicalize(Equation(left, right))] += 1
         return found
 
-    computed = critical_pairs(COMM, ASSOC)
-    expected = oracle(COMM, ASSOC)
-    assert expected
-    for eq in expected:
-        assert _contains_up_to_orientation(computed, print_equation(eq))
-    for eq in computed:
-        assert _contains_up_to_orientation(expected, print_equation(eq))
+    inv = parse_equation("x*(x*y)=y")
+    cases = [
+        (COMM, ASSOC),
+        (COMM, inv),
+        (inv, COMM),
+        (parse_equation("x*y=x*x"), parse_equation("(x*y)*y=x")),
+        (parse_equation("(x*y)*y=x"), parse_equation("x*y=x*x")),
+    ]
+    for e1, e2 in cases:
+        expected = oracle(e1, e2)
+        assert expected
+        assert Counter(critical_pairs(e1, e2)) == expected, (e1, e2)
+    # each check rejects, on some case, an overlap whose pair arises no other way
+    for check in ("outer", "inner"):
+        assert any(set(oracle(e1, e2, check)) - set(oracle(e1, e2)) for e1, e2 in cases)
 
 
 # --- saturation ----------------------------------------------------------------------
@@ -578,6 +627,14 @@ def test_parse_proof_rejects_garbage():
             parse_proof(f"step 1: rewrite at {pos} with eq 1 under {{x=a}}: a*b ==> a")
     with pytest.raises(ValueError, match="substitution"):
         parse_proof("step 1: rewrite at e with eq 1 under {q=a}: a*b ==> a")
+    # steps are numbered 1, 2, ... in order; a renumbered step would replay
+    axiom, goal = _goal("x*y=u*w", "x*y=y*x")
+    text = format_proof(saturate(axiom, goal, Budget.of_steps(500)).proof)
+    assert text.startswith("step 1: ") and "\nstep 2: " in text
+    with pytest.raises(ValueError, match="step 7 on line 1 should be step 1"):
+        parse_proof(text.replace("step 1:", "step 7:", 1))
+    with pytest.raises(ValueError, match="step 1 on line 2 should be step 2"):
+        parse_proof(text.replace("step 2:", "step 1:", 1))
 
 
 # --- pinned proofs ----------------------------------------------------------------------

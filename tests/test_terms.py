@@ -19,6 +19,7 @@ from eqimp.terms import (
     positions,
     print_equation,
     replace_at,
+    shape,
     subterm_at,
     variables,
 )
@@ -142,6 +143,23 @@ def test_variables_first_occurrence_across_terms():
     eq = parse_equation("(z*x)*z=y*(w*x)")
     assert variables(eq.lhs, eq.rhs) == [2, 0, 1, 3]
     assert variables(Op(Const(1), Const(2))) == []
+
+
+def test_shape_counts_symbols_and_variable_occurrences():
+    eq = parse_equation("(z*x)*z=y*(w*x)")
+    size, counts = shape(eq.lhs, eq.rhs)
+    assert size == 10
+    assert counts == {2: 2, 0: 2, 1: 1, 3: 1}
+    assert list(counts) == [2, 0, 1, 3]
+    assert shape(parse_term("a*(x*b)")) == (5, {0: 1})
+    assert shape() == (0, {})
+    rng = random.Random(8)
+    for _ in range(200):
+        eq = random_equation(rng)
+        size, counts = shape(eq.lhs)
+        assert size == sum(1 for _ in positions(eq.lhs))
+        leaves = [sub.index for _, sub in positions(eq.lhs) if isinstance(sub, Var)]
+        assert counts == {i: leaves.count(i) for i in leaves}
 
 
 def test_canonicalize_idempotent():
