@@ -320,20 +320,28 @@ def format_countermodel(cm: Countermodel) -> str:
     return "\n".join(lines)
 
 
+def _number(text: str) -> int | None:
+    """The number text spells as format_countermodel spells numbers (ASCII
+    digits, no sign, no leading zero), else None.  int() alone also reads
+    '٢', '+1' and '1_0'."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        return None
+    return int(text)
+
+
 def parse_countermodel(text: str) -> Countermodel:
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 2:
         raise ValueError("countermodel text too short")
-    try:
-        size = int(lines[0])
-    except ValueError:
-        raise ValueError(f"bad countermodel size line {lines[0]!r}") from None
+    size = _number(lines[0])
+    if size is None:
+        raise ValueError(f"bad countermodel size line {lines[0]!r}")
     if len(lines) != size + 2:
         raise ValueError(f"expected {size} rows plus an assignment line")
     rows = []
     for line in lines[1 : size + 1]:
-        row = [int(v) for v in line.split()]
-        if len(row) != size:
+        row = [_number(v) for v in line.split()]
+        if len(row) != size or None in row:
             raise ValueError(f"bad countermodel row {line!r}")
         rows.append(row)
     assignment = []
@@ -341,8 +349,8 @@ def parse_countermodel(text: str) -> Countermodel:
         name, _, value = item.partition("=")
         if name != var_name(index):
             raise ValueError(f"unexpected assignment entry {item!r}")
-        element = int(value)
-        if not 0 <= element < size:
+        element = _number(value)
+        if element is None or not 0 <= element < size:
             raise ValueError(f"assignment entry {item!r} is not an element 0..{size - 1}")
         assignment.append(element)
     return Countermodel(MagmaTable.from_rows(rows), tuple(assignment))

@@ -607,8 +607,10 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines)
 
 
+# numbers as format_proof prints them: ASCII digits, no leading zero
 _STEP_RE = re.compile(
-    r"step (\d+): rewrite at (e|[01](?:\.[01])*) with eq (\d+) under \{(.*)\}: (.*) ==> (.*)$"
+    r"step ([1-9][0-9]*): rewrite at (e|[01](?:\.[01])*) with eq (0|[1-9][0-9]*) "
+    r"under \{(.*)\}: (.*) ==> (.*)$"
 )
 
 

@@ -6,31 +6,113 @@ c7, ...; they never appear in parsed equations, they enter when a conjecture
 is grounded and are read back only by parse_term (proof witnesses).  Names
 are ASCII and spelled exactly as printed (no leading zeros), so parsing and
 printing round-trip.
+
+Terms are hash-consed: building a term returns the one live object with that
+structure, so equal terms are the same object, == is identity and a term
+hashes as an object.  Terms are immutable and shared freely.  The intern table
+holds products only while they are alive, through weak references; variables
+and constants, of which few distinct ones exist, are kept for good.  Each
+node carries its size, and caches its variable-occurrence counts once shape
+first asks for them.  Unpickling rebuilds a term through its constructor, so
+a term sent to another process is interned there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Union
 
 VAR_LETTERS = "xyzwuv"
 CONST_LETTERS = "abcdef"
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class _Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Const:
-    index: int
+class _Leaf(_Frozen):
+    # a variable or constant; each subclass keeps its instances in _table
+    __slots__ = ("index", "size", "_counts")
+    __match_args__ = ("index",)
+    _table: dict
+
+    def __new__(cls, index: int):
+        leaf = cls._table.get(index)
+        if leaf is None:
+            leaf = object.__new__(cls)
+            object.__setattr__(leaf, "index", index)
+            object.__setattr__(leaf, "size", 1)
+            object.__setattr__(leaf, "_counts", {index: 1} if cls is Var else {})
+            cls._table[index] = leaf
+        return leaf
+
+    def __reduce__(self):
+        return type(self), (self.index,)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class Op:
-    left: "Term"
-    right: "Term"
+class Var(_Leaf):
+    __slots__ = ()
+    _table: dict = {}
+
+
+class Const(_Leaf):
+    __slots__ = ()
+    _table: dict = {}
+
+
+class _OpRef(weakref.ref):
+    # a weak reference that knows its intern table key
+    __slots__ = ("key",)
+
+
+# (left, right) -> weak reference to the live product with those sides
+_ops: dict[tuple, _OpRef] = {}
+
+
+def _forget(ref: _OpRef, ops=_ops) -> None:
+    # a product died; drop its entry unless a newer product has taken the key
+    # (ops is bound here so that products freed while the interpreter shuts
+    # down still find the table)
+    if ops.get(ref.key) is ref:
+        del ops[ref.key]
+
+
+class Op(_Frozen):
+    __slots__ = ("left", "right", "size", "_counts", "__weakref__")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: "Term", right: "Term"):
+        key = (left, right)
+        ref = _ops.get(key)
+        if ref is not None:
+            op = ref()
+            if op is not None:
+                return op
+        op = object.__new__(cls)
+        object.__setattr__(op, "left", left)
+        object.__setattr__(op, "right", right)
+        object.__setattr__(op, "size", left.size + right.size + 1)
+        object.__setattr__(op, "_counts", None)
+        ref = _OpRef(op, _forget)
+        ref.key = key
+        _ops[key] = ref
+        return op
+
+    def __reduce__(self):
+        return Op, (self.left, self.right)
+
+    def __repr__(self):
+        return f"Op(left={self.left!r}, right={self.right!r})"
 
 
 Term = Union[Var, Const, Op]
@@ -229,29 +311,53 @@ Subst = dict[int, Term]
 
 def apply_subst(term: Term, subst: Subst) -> Term:
     """Replace each variable bound in subst; unbound variables stay."""
-    match term:
-        case Var(index):
-            return subst.get(index, term)
-        case Op(left, right):
-            return Op(apply_subst(left, subst), apply_subst(right, subst))
-        case _:
+    if isinstance(term, Var):
+        return subst.get(term.index, term)
+    if isinstance(term, Op):
+        left = apply_subst(term.left, subst)
+        right = apply_subst(term.right, subst)
+        if left is term.left and right is term.right:
             return term
+        return Op(left, right)
+    return term
+
+
+def _counts(term: Term) -> dict[int, int]:
+    """The term's variable-occurrence counts, computed once per product from
+    its sides' counts, without recursion."""
+    if term._counts is not None:
+        return term._counts
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        left, right = t.left._counts, t.right._counts
+        if left is None or right is None:
+            if right is None:
+                stack.append(t.right)
+            if left is None:
+                stack.append(t.left)
+            continue
+        stack.pop()
+        if t._counts is None:
+            merged = left.copy()
+            for index, k in right.items():
+                merged[index] = merged.get(index, 0) + k
+            object.__setattr__(t, "_counts", merged)
+    return term._counts
 
 
 def shape(*terms: Term) -> tuple[int, dict[int, int]]:
     """(size, occurrences of each variable index) of the terms together.  The
-    dict is keyed by first occurrence in preorder, earlier terms first."""
+    dict is keyed by first occurrence in preorder, earlier terms first.  For
+    a single term it is the term's own cached dict: read it, never change it."""
+    if len(terms) == 1:
+        return terms[0].size, _counts(terms[0])
     size = 0
     counts: dict[int, int] = {}
-    stack = list(reversed(terms))
-    while stack:
-        t = stack.pop()
-        size += 1
-        if isinstance(t, Var):
-            counts[t.index] = counts.get(t.index, 0) + 1
-        elif isinstance(t, Op):
-            stack.append(t.right)
-            stack.append(t.left)
+    for term in terms:
+        size += term.size
+        for index, k in _counts(term).items():
+            counts[index] = counts.get(index, 0) + k
     return size, counts
 
 

@@ -449,6 +449,31 @@ def test_verify_unreadable_witness_exits_2(tmp_path, capsys):
     assert "pair (1, 2): unreadable proof" in capsys.readouterr().err
 
 
+def test_verify_rejects_numbers_the_formatters_never_print(tmp_path, capsys):
+    # int() reads a sign or a non-ASCII digit as part of a number, and a
+    # regex \d the digit; a witness must spell numbers as the formatters do
+    eqs, log = _mini_run(tmp_path, ["x*y = y*x", "(x*y)*z = x*(y*z)", "x*y = u*w"])
+    capsys.readouterr()
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 0
+    clean = [json.loads(line) for line in open(log)]
+    witnesses = {(row["lhs"], row["rhs"]): row["witness"] for row in clean}
+    assert witnesses[(2, 1)] == "2\n0 0\n1 1\nx=0 y=1"
+    assert witnesses[(3, 1)].startswith("step 1: rewrite at e with eq 3 ")
+    for pair, old, new in (
+        ((2, 1), "2\n", "\u0662\n"),
+        ((2, 1), "\n1 1\n", "\n1 \u0661\n"),
+        ((2, 1), "y=1", "y=+1"),
+        ((2, 1), "y=1", "y=\u0661"),
+        ((3, 1), "step 1:", "step \u0661:"),
+        ((3, 1), " with eq 3 ", " with eq \u0663 "),
+    ):
+        _write_log(pathlib.Path(log), clean)
+        _tamper(log, pair, lambda witness: witness.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+        assert f"pair {pair}" in capsys.readouterr().err
+
+
 def test_verify_rejects_assignment_outside_the_table(tmp_path, capsys):
     # the table is commutative and associative; negative or oversized
     # assignment values must not make it look like a countermodel

@@ -254,3 +254,17 @@ def test_countermodel_parse_rejects_garbage():
         # the table from its end
         with pytest.raises(ValueError, match="not an element 0..1"):
             parse_countermodel(f"2\n0 0\n1 1\nx=0 y={value}")
+    # numbers are ASCII digits spelled as format_countermodel prints them;
+    # int() alone would read each of these
+    for text in (
+        "\u0662\n0 0\n1 1\nx=0 y=1",
+        "02\n0 0\n1 1\nx=0 y=1",
+        "2\n0 \u0661\n1 1\nx=0 y=1",
+        "2\n0 +0\n1 1\nx=0 y=1",
+        "2\n0 0\n1 1\nx=0 y=+1",
+        "2\n0 0\n1 1\nx=0 y=\u0661",
+        "2\n0 0\n1 1\nx=0 y=01",
+    ):
+        with pytest.raises(ValueError):
+            parse_countermodel(text)
+    assert parse_countermodel("2\n0 0\n1 1\nx=0 y=1") == Countermodel(LEFT_PROJECTION, (0, 1))

@@ -627,6 +627,10 @@ def test_parse_proof_rejects_garbage():
             parse_proof(f"step 1: rewrite at {pos} with eq 1 under {{x=a}}: a*b ==> a")
     with pytest.raises(ValueError, match="substitution"):
         parse_proof("step 1: rewrite at e with eq 1 under {q=a}: a*b ==> a")
+    # numbers are ASCII digits spelled as format_proof prints them
+    for number, eq_id in (("\u0661", "1"), ("1", "\u0661"), ("01", "1"), ("1", "01"), ("+1", "1")):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_proof(f"step {number}: rewrite at e with eq {eq_id} under {{x=a}}: a*b ==> a")
     # steps are numbered 1, 2, ... in order; a renumbered step would replay
     axiom, goal = _goal("x*y=u*w", "x*y=y*x")
     text = format_proof(saturate(axiom, goal, Budget.of_steps(500)).proof)

@@ -1,8 +1,15 @@
+import gc
+import pathlib
+import pickle
 import random
+import sys
 
 import pytest
 
 from conftest import random_equation
+from eqimp import terms
+from eqimp.budget import Budget
+from eqimp.saturation import saturate
 from eqimp.terms import (
     Const,
     Corpus,
@@ -23,6 +30,9 @@ from eqimp.terms import (
     subterm_at,
     variables,
 )
+from eqimp.tptp import skolemize
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_parse_commutativity_structure():
@@ -243,3 +253,62 @@ def test_subterm_and_replace_round_trip():
 def test_positions_preorder():
     term = parse_equation("(x*y)*z=x").lhs
     assert [pos for pos, _ in positions(term)] == [(), (0,), (0, 0), (0, 1), (1,)]
+
+
+# --- sharing ------------------------------------------------------------------
+
+
+def test_equal_terms_are_one_object():
+    first = parse_equation("(x*y)*z=x*(y*z)")
+    second = parse_equation("(x*y)*z=x*(y*z)")
+    assert first.lhs is second.lhs and first.rhs is second.rhs
+    assert Op(Var(0), Const(1)) is Op(Var(0), Const(1))
+    assert Var(3) is not Const(3) and Var(3) != Const(3)
+
+
+def test_terms_print_as_before():
+    assert repr(parse_term("a*(x*b)")) == (
+        "Op(left=Const(index=0), right=Op(left=Var(index=0), right=Const(index=1)))"
+    )
+
+
+def test_unpickled_term_is_the_live_one():
+    term = parse_term("((x*a)*(y*x))*(z*(b*w))")
+    assert pickle.loads(pickle.dumps(term)) is term
+
+
+def test_terms_are_immutable():
+    term = Op(Var(0), Var(1))
+    with pytest.raises(AttributeError):
+        term.left = Var(2)
+    with pytest.raises(AttributeError):
+        Var(0).index = 1
+    with pytest.raises(AttributeError):
+        del Const(0).index
+    assert term == Op(Var(0), Var(1)) and Var(0).index == 0
+
+
+def test_shape_of_a_term_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    term = Var(0)
+    for i in range(depth):
+        term = Op(term, Var(i % 2))
+        if i == depth // 2:
+            # a subterm asked first: the whole term builds on its counts
+            assert shape(term) == (2 * i + 3, {0: i // 2 + 2, 1: (i + 1) // 2})
+    size, counts = shape(term)
+    assert size == 2 * depth + 1
+    assert counts == {0: depth // 2 + 1, 1: depth // 2}
+    assert variables(term, Var(5)) == [0, 1, 5]
+
+
+def test_intern_table_lets_go_of_dead_terms():
+    corpus = load_corpus(str(DATA / "random8.eqs"))
+    premise, goal = corpus.by_id(1), skolemize(corpus.by_id(2))
+    gc.collect()
+    before = len(terms._ops)
+    outcome = saturate(premise, goal, Budget.of_steps(10))
+    assert outcome.steps_used > 0
+    del outcome
+    gc.collect()
+    assert len(terms._ops) <= before
