@@ -41,8 +41,11 @@ import itertools
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 
 from .budget import Budget
 from .closure import PROVEN, REFUTED, StatusEntry, StatusMap, propagate
@@ -202,8 +205,58 @@ _KEY_SET = frozenset(_RECORD_KEYS)
 
 
 def _record_line(record: ResultRecord) -> str:
-    # the dataclass fields are declared in _RECORD_KEYS order
-    return json.dumps(vars(record)) + "\n"
+    """The record as json.dumps(vars(record)) writes it, keys in _RECORD_KEYS
+    order: strings escaped to ASCII by json's own encoder, numbers as repr
+    prints them (ResultRecord admits no bool, NaN or infinity)."""
+    method, stage, witness = record.method, record.stage, record.witness
+    return (
+        f'{{"lhs": {record.lhs!r}, "rhs": {record.rhs!r}, '
+        f'"status": {encode_basestring_ascii(record.status)}, '
+        f'"method": {"null" if method is None else encode_basestring_ascii(method)}, '
+        f'"stage": {"null" if stage is None else repr(stage)}, '
+        f'"seconds": {record.seconds!r}, '
+        f'"witness": {"null" if witness is None else encode_basestring_ascii(witness)}}}\n'
+    )
+
+
+# The start of a line as _record_line writes it, up to the witness: its keys
+# and separators, ints as JSON writes them, seconds with a point or an
+# exponent as float's repr prints it (json.loads reads an integral seconds as
+# an int, so that line is left to it), and status and method made only of
+# characters JSON prints unescaped.  A witness, last and long, is left to
+# json's string scanner after its opening quote.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_PLAIN = r"[ !#-\[\]-~]*"
+_CANONICAL = re.compile(
+    rf'\{{"lhs": ({_INT}), "rhs": ({_INT}), "status": "({_PLAIN})", '
+    rf'"method": (?:null|"({_PLAIN})"), "stage": (null|{_INT}), '
+    rf'"seconds": ({_INT}(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)), "witness": (?:(null)|")'
+)
+
+
+def _canonical_fields(line: str) -> tuple | None:
+    """The field values of a line in _record_line's form, as json.loads reads
+    them, in _RECORD_KEYS order; None for any other line, and for one whose
+    numbers or witness do not convert, so that json.loads reports it."""
+    match = _CANONICAL.match(line)
+    if match is None:
+        return None
+    lhs, rhs, status, method, stage, seconds, null = match.groups()
+    try:
+        witness, end = (None, match.end()) if null else scanstring(line, match.end())
+        if line[end:] not in ("}\n", "}"):
+            return None
+        return (
+            int(lhs),
+            int(rhs),
+            status,
+            method,
+            None if stage == "null" else int(stage),
+            float(seconds),
+            witness,
+        )
+    except ValueError:  # a digit count past int's limit, or a bad escape
+        return None
 
 
 def _write_log(path: str, records) -> None:
@@ -229,6 +282,16 @@ def _ends_with_newline(path: str) -> bool:
             return True
         handle.seek(-1, os.SEEK_END)
         return handle.read(1) == b"\n"
+
+
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would keep the last of repeated keys; a record may not repeat one
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"repeated key {key!r}")
+        payload[key] = value
+    return payload
 
 
 def _record_from_dict(payload) -> ResultRecord:
@@ -482,27 +545,42 @@ def load_results(
     path: str, drop_torn_tail: bool = False
 ) -> tuple[StatusMap, list[ResultRecord]]:
     """Reconstruct records from a log; duplicate pairs and malformed lines are
-    format errors naming the line.  The status map carries decided pairs only,
-    keyed for closure.propagate.  With drop_torn_tail, an unparsable final
-    line without its newline (a write cut short by a killed run) is skipped."""
+    format errors naming the line.  A line as _record_line writes it is read
+    by one pattern, any other by json.loads; both give the same record.  The
+    status map carries decided pairs only, keyed for closure.propagate.  With
+    drop_torn_tail, an unparsable final line without its newline (a write cut
+    short by a killed run) is skipped."""
     records = []
     seen: dict[tuple[int, int], int] = {}
     status_map: StatusMap = {}
     # one shared entry per (status, method): a log holds few distinct ones
     entries: dict[tuple[str, str], StatusEntry] = {}
+    # and one shared copy of each status and method string
+    strings: dict[str | None, str | None] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
+            fields = _canonical_fields(raw)
+            if fields is None:
+                line = raw.strip()
+                if not line:
+                    continue
+                # json.loads raises a JSONDecodeError, _unique_keys a
+                # ValueError, int conversion a ValueError past its digit limit,
+                # and arrays nested past the recursion limit a RecursionError
+                try:
+                    payload = json.loads(line, object_pairs_hook=_unique_keys)
+                except (ValueError, RecursionError) as err:
+                    if drop_torn_tail and not raw.endswith("\n"):
+                        break
+                    raise ValueError(f"{path}:{lineno}: bad record: {err}") from None
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as err:
-                if drop_torn_tail and not raw.endswith("\n"):
-                    break
-                raise ValueError(f"{path}:{lineno}: bad record: {err}") from None
-            try:
-                record = _record_from_dict(payload)
+                if fields is None:
+                    record = _record_from_dict(payload)
+                else:
+                    lhs, rhs, status, method, stage, seconds, witness = fields
+                    status = strings.setdefault(status, status)
+                    method = strings.setdefault(method, method)
+                    record = ResultRecord(lhs, rhs, status, method, stage, seconds, witness)
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
             pair = (record.lhs, record.rhs)

@@ -175,6 +175,10 @@ def _const_index(name: str) -> int | None:
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_CHARS = set("*=()")
+# parentheses nest at most this deep: the parser, the printer and the term
+# walkers recurse once per level, and a term this deep stays far inside
+# Python's recursion limit even after a substitution doubles its depth
+MAX_NESTING = 200
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -207,6 +211,7 @@ class _Parser:
         self.pos = 0
         self.length = len(text)
         self.constants = constants
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -226,8 +231,12 @@ class _Parser:
     def atom(self) -> Term:
         kind, text, col = self.take()
         if text == "(":
+            if self.depth == MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} at column {col}")
+            self.depth += 1
             term = self.side()
             self.expect(")")
+            self.depth -= 1
             return term
         if kind == "name":
             index = _var_index(text)

@@ -63,6 +63,16 @@ def test_missing_and_malformed_inputs_exit_1(tmp_path, capsys):
     assert main(["pairs", "--eqs", bad]) == 1
     err = capsys.readouterr().err
     assert "bad.eqs:1" in err
+    # nested past the parser's limit, and past Python's recursion limit
+    deep = _write(tmp_path / "deep.eqs", "x*y=y*x\n" + _nested(1200) + "=x\n")
+    assert main(["pairs", "--eqs", deep]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}:2: parentheses nested deeper than 200 at column 201")
+
+
+def _nested(depth):
+    """x wrapped as (x*y) depth times."""
+    return "(" * depth + "x" + "*y)" * depth
 
 
 # --- pairs -------------------------------------------------------------------
@@ -339,6 +349,37 @@ def test_closure_rejects_a_malformed_record_naming_its_line(tmp_path, capsys):
     assert pathlib.Path(log).read_text() == before
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # canonical, and with the keys reordered
+        ('{"lhs": 1%s, "rhs": 2, "status": "unsolved", "method": null, "stage": null, '
+         '"seconds": 1.0, "witness": null}' % ("0" * 5000), "Exceeds the limit"),
+        ('{"rhs": 2, "lhs": 1%s, "status": "unsolved", "method": null, "stage": null, '
+         '"seconds": 1.0, "witness": null}' % ("0" * 5000), "Exceeds the limit"),
+        ('{"lhs": 1, "lhs": 3, "rhs": 2, "status": "unsolved", "method": null, '
+         '"stage": null, "seconds": 1, "witness": null}', "repeated key 'lhs'"),
+        ("[" * 100_000, "maximum recursion depth"),
+        # canonical up to the witness
+        ('{"lhs": 1, "rhs": 2, "status": "unsolved", "method": null, "stage": null, '
+         '"seconds": 1.0, "witness": "a\tb"}', "Invalid control character"),
+        ('{"lhs": 1, "rhs": 2, "status": "unsolved", "method": null, "stage": null, '
+         '"seconds": 1.0, "witness": null} {}', "Extra data"),
+    ],
+    ids=["huge-int", "huge-int-reordered", "repeated-key", "deep-array", "raw-tab", "extra"],
+)
+def test_report_names_the_line_of_an_unreadable_record(tmp_path, capsys, line, message):
+    if "Exceeds" in message and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    good = ('{"lhs": 3, "rhs": 4, "status": "unsolved", "method": null, "stage": null, '
+            '"seconds": 1.0, "witness": null}')
+    log = _write(tmp_path / "r.jsonl", good + "\n" + line + "\n")
+    assert main(["report", "--results", log]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}:2: bad record: ")
+    assert message in err
+
+
 # --- report ------------------------------------------------------------------
 
 
@@ -447,6 +488,12 @@ def test_verify_unreadable_witness_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--eqs", eqs, "--results", log]) == 2
     assert "pair (1, 2): unreadable proof" in capsys.readouterr().err
+    # a proof term nested past the parser's limit is unreadable, not a crash
+    deep = f"step 1: rewrite at e with eq 1 under {{}}: {_nested(1200)} ==> x"
+    _tamper(log, (1, 2), lambda witness: deep)
+    capsys.readouterr()
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+    assert "pair (1, 2): unreadable proof: parentheses nested deeper" in capsys.readouterr().err
 
 
 def test_verify_rejects_numbers_the_formatters_never_print(tmp_path, capsys):

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import random
 import re
 import threading
 import time
@@ -813,6 +814,136 @@ def test_load_results_rejects_duplicates_and_bad_keys(tmp_path):
         out.write_text(good + json.dumps({**payload, **change}) + "\n")
         with pytest.raises(ValueError, match=f"out.jsonl:2: .*{message}"):
             load_results(str(out))
+
+
+# json.dumps writes the log, so json is the oracle: witnesses with every kind
+# of character it escapes (a lone high surrogate is followed by a letter, since
+# json reads an escaped high and low surrogate back as one character)
+_WITNESS_PIECES = (
+    '"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "/", " ", "é", "€",
+    "\U0001f600", "\ud800x", "\udfff", "step 1: rewrite at e", "x*y", "=",
+)
+_PLAIN_METHODS = ("fmb-500i", "satur-500i", "closure:R1", "")
+_ESCAPED_METHODS = ('odd "stage"', "back\\slash", "naïve")
+_SECONDS = (0, 0.0, 1e-07, 1e16, 1.7976931348623157e308, 5e-324, 0.1, 2.5, 17)
+
+
+def _random_witness(rng):
+    return "".join(rng.choice(_WITNESS_PIECES) for _ in range(rng.randrange(12)))
+
+
+def _random_records(rng, count):
+    pairs = [(lhs, rhs) for lhs in range(1, 80) for rhs in range(1, 80) if lhs != rhs]
+    records = []
+    for lhs, rhs in pairs[:count]:
+        status = rng.choice((PROVEN, REFUTED, UNSOLVED))
+        methods = _PLAIN_METHODS + _ESCAPED_METHODS + ((None,) if status == UNSOLVED else ())
+        stages = (0, 1, 2, 12) + ((None,) if status == UNSOLVED else ())
+        records.append(
+            ResultRecord(
+                lhs,
+                rhs,
+                status,
+                rng.choice(methods),
+                rng.choice(stages),
+                rng.choice(_SECONDS + (rng.random(), 10 ** rng.uniform(-9, 20))),
+                rng.choice((None, "saturation", _random_witness(rng))),
+            )
+        )
+    return records
+
+
+def _typed(records):
+    # == on records takes 0 for 0.0; the log tells them apart
+    return [(record, type(record.seconds)) for record in records]
+
+
+def test_log_lines_are_json_dumps_lines_and_read_back(tmp_path):
+    records = _random_records(random.Random(5), 3000)
+    lines = [runner._record_line(record) for record in records]
+    assert lines == [json.dumps(dataclasses.asdict(record)) + "\n" for record in records]
+    out = tmp_path / "out.jsonl"
+    out.write_text("".join(lines), encoding="ascii")
+    _, loaded = load_results(str(out))
+    assert _typed(loaded) == _typed(records)
+
+
+def test_canonical_lines_load_without_json_loads(tmp_path, monkeypatch):
+    records = [
+        record
+        for record in _random_records(random.Random(6), 3000)
+        if type(record.seconds) is float and record.method not in _ESCAPED_METHODS
+    ]
+    out = tmp_path / "out.jsonl"
+    out.write_text("".join(map(runner._record_line, records)), encoding="ascii")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a canonical line went through json.loads")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    status_map, loaded = load_results(str(out))
+    assert _typed(loaded) == _typed(records)
+    assert len(status_map) == sum(record.status != UNSOLVED for record in records)
+
+
+def test_respaced_or_reordered_lines_read_as_the_same_records(tmp_path):
+    rng = random.Random(7)
+    records = _random_records(rng, 3000)
+    lines = []
+    for record in records:
+        payload = dataclasses.asdict(record)
+        if rng.random() < 0.5:
+            keys = list(payload)
+            rng.shuffle(keys)
+            payload = {key: payload[key] for key in keys}
+        separators = rng.choice(((",", ":"), (" ,", " : "), (", ", ": ")))
+        lines.append(" " * rng.randrange(2) + json.dumps(payload, separators=separators))
+    out = tmp_path / "out.jsonl"
+    out.write_text("\n".join(lines) + "\n", encoding="ascii")
+    _, loaded = load_results(str(out))
+    assert _typed(loaded) == _typed(records)
+
+
+def test_propagate_log_writes_json_dumps_lines(tmp_path):
+    # records from a hidden preorder (i implies j when j's features are a
+    # subset of i's), so closure derives without conflicts
+    rng = random.Random(8)
+    features = [rng.getrandbits(5) for _ in range(60)]
+    truth = lambda lhs, rhs: features[rhs - 1] & ~features[lhs - 1] == 0
+    rows = []
+    for lhs in range(1, 61):
+        for rhs in range(1, 61):
+            if lhs == rhs:
+                continue
+            if rng.random() < 0.3:
+                status, method, stage = (
+                    (PROVEN, "satur-500i", 2) if truth(lhs, rhs) else (REFUTED, "fmb-500i", 1)
+                )
+            else:
+                status, method, stage = UNSOLVED, None, None
+            rows.append({"lhs": lhs, "rhs": rhs, "status": status, "method": method,
+                         "stage": stage, "seconds": rng.random(),
+                         "witness": _random_witness(rng)})
+    lines = [json.dumps(row) + "\n" for row in rows]
+    out = tmp_path / "out.jsonl"
+    out.write_text("".join(lines), encoding="ascii")
+
+    derived = propagate_log(str(out))
+    with open(out, encoding="ascii") as handle:
+        written = handle.readlines()
+    kept, added = written[: len(written) - derived], written[len(written) - derived :]
+    pairs = [(row["lhs"], row["rhs"]) for row in map(json.loads, added)]
+    assert derived > 1000 and pairs == sorted(pairs)
+    replaced = set(pairs)
+    assert kept == [line for line, row in zip(lines, rows) if (row["lhs"], row["rhs"]) not in replaced]
+    was = {(row["lhs"], row["rhs"]): row["status"] for row in rows}
+    for line, (lhs, rhs) in zip(added, pairs):
+        assert was[(lhs, rhs)] == UNSOLVED
+        method = json.loads(line)["method"]
+        assert method in ("closure:R1", "closure:R2", "closure:R3")
+        status = PROVEN if truth(lhs, rhs) else REFUTED
+        assert line == json.dumps({"lhs": lhs, "rhs": rhs, "status": status, "method": method,
+                                   "stage": 0, "seconds": 0.0, "witness": None}) + "\n"
 
 
 # --- closing a log under the implication rules -------------------------------

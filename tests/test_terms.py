@@ -16,6 +16,7 @@ from eqimp.terms import (
     Equation,
     Op,
     Var,
+    apply_subst,
     canonicalize,
     enumerate_pairs,
     format_term,
@@ -116,6 +117,23 @@ def test_parse_term_rejects_malformed_input():
         parse_term("a*b*c")
     with pytest.raises(ValueError, match="unknown name 'c3'"):
         parse_term("c3")  # indexes below 6 are spelled a..f
+
+
+def test_parser_limits_nesting_to_what_the_term_walkers_survive():
+    def nested(depth):  # x wrapped as (x*y) depth times
+        return "(" * depth + "x" + "*y)" * depth
+
+    eq = parse_equation(f"{nested(terms.MAX_NESTING)}=x")
+    assert parse_equation(print_equation(eq)) == eq
+    # a substitution may double the depth
+    deeper = apply_subst(eq.lhs, {0: eq.lhs})
+    assert format_term(deeper) == nested(2 * terms.MAX_NESTING)[1:-1]
+    assert canonicalize(Equation(deeper, eq.lhs)) == Equation(deeper, eq.lhs)
+    too_deep = nested(terms.MAX_NESTING + 1)
+    with pytest.raises(ValueError, match="nested deeper than 200 at column 201"):
+        parse_equation(f"{too_deep}=x")
+    with pytest.raises(ValueError, match="nested deeper than 200 at column 201"):
+        parse_term(too_deep)
 
 
 def test_parse_rejects_unclosed_paren():
