@@ -64,10 +64,9 @@ ENGINE_SATUR = "satur"
 CLOSURE_STAGE = 0  # derived records sit outside the schedule's 1-based stages
 
 # the decide-early phase (see _attempts): model finder steps of the slice,
-# and saturation iterations and wall seconds of each probe
+# and saturation iterations of each probe
 SLICE = 500
 K = 20
-CAP = 0.5
 # seconds into a run with more than one worker at which its in-process
 # attempts are cut and the groups left go to worker processes: about what
 # spawning two interpreters costs
@@ -85,7 +84,7 @@ class MethodSpec:
         if self.engine not in (ENGINE_FMB, ENGINE_SATUR):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.name.startswith("closure:"):
-            # verify takes such records for closure's and checks no witness
+            # verify takes such records for closure's and re-derives them
             raise ValueError(f"stage name {self.name!r} is kept for derived records")
         amount = self.budget.steps if self.budget.steps is not None else self.budget.seconds
         if amount is None or amount <= 0:
@@ -373,10 +372,12 @@ def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
     first.  The slice is the first stage's shared search cut at SLICE steps.
     Its walk is a prefix of the stage's own, so a countermodel it finds is the
     one the stage finds; it records refutations only.  The probe is S's run
-    cut at K iterations and CAP seconds.  A proof found within K iterations is
-    the proof S's whole budget returns, and no model finder stage can refute a
-    true implication, so it records proofs only, as S's, and the pair skips
-    every model finder stage before S.
+    cut at K iterations, a prefix of S's run as the slice is of the first
+    stage's.  A proof found within K iterations is the proof S's whole budget
+    returns, and no model finder stage can refute a true implication, so it
+    records proofs only, as S's, and the pair skips every model finder stage
+    before S.  Both are step budgets, so the phase does the same work however
+    loaded the host is.
     """
     walk = [
         (index, stage.budget, (PROVEN, REFUTED, UNSOLVED))
@@ -391,7 +392,7 @@ def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
                 return walk
             return [
                 (1, Budget.of_steps(min(SLICE, first.budget.steps)), (REFUTED,)),
-                (index, Budget(steps=min(K, stage.budget.steps), seconds=CAP), (PROVEN,)),
+                (index, Budget.of_steps(min(K, stage.budget.steps)), (PROVEN,)),
                 *walk,
             ]
     return walk
@@ -444,7 +445,7 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
     guard."""
     done: dict[tuple[int, int], ResultRecord] = {}
     if config.resume and os.path.exists(config.out_path):
-        _, previous = load_results(config.out_path, drop_torn_tail=True)
+        _, previous = load_results(config.out_path, drop_torn_tail=True, laws=corpus.count)
         for record in previous:
             if record.status != UNSOLVED:
                 done[(record.lhs, record.rhs)] = record
@@ -542,14 +543,15 @@ def _attempt(task: tuple[int, tuple[int, ...]]) -> list[ResultRecord]:
 
 
 def load_results(
-    path: str, drop_torn_tail: bool = False
+    path: str, drop_torn_tail: bool = False, laws: int | None = None
 ) -> tuple[StatusMap, list[ResultRecord]]:
     """Reconstruct records from a log; duplicate pairs and malformed lines are
     format errors naming the line.  A line as _record_line writes it is read
     by one pattern, any other by json.loads; both give the same record.  The
     status map carries decided pairs only, keyed for closure.propagate.  With
     drop_torn_tail, an unparsable final line without its newline (a write cut
-    short by a killed run) is skipped."""
+    short by a killed run) is skipped.  With laws, the size of the corpus the
+    log should belong to, a record naming a higher id is an error too."""
     records = []
     seen: dict[tuple[int, int], int] = {}
     status_map: StatusMap = {}
@@ -584,6 +586,11 @@ def load_results(
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
             pair = (record.lhs, record.rhs)
+            if laws is not None and max(pair) > laws:
+                raise ValueError(
+                    f"{path}:{lineno}: pair {pair} names law {max(pair)}, "
+                    f"but the corpus has {laws} laws"
+                )
             if pair in seen:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate record for pair {pair} "

@@ -12,9 +12,9 @@ structure, so equal terms are the same object, == is identity and a term
 hashes as an object.  Terms are immutable and shared freely.  The intern table
 holds products only while they are alive, through weak references; variables
 and constants, of which few distinct ones exist, are kept for good.  Each
-node carries its size, and caches its variable-occurrence counts once shape
-first asks for them.  Unpickling rebuilds a term through its constructor, so
-a term sent to another process is interned there.
+node carries its size and its variable-occurrence counts, a product's merged
+from its sides' when it is built.  Unpickling rebuilds a term through its
+constructor, so a term sent to another process is interned there.
 """
 
 from __future__ import annotations
@@ -102,7 +102,10 @@ class Op(_Frozen):
         object.__setattr__(op, "left", left)
         object.__setattr__(op, "right", right)
         object.__setattr__(op, "size", left.size + right.size + 1)
-        object.__setattr__(op, "_counts", None)
+        counts = left._counts.copy()
+        for index, k in right._counts.items():
+            counts[index] = counts.get(index, 0) + k
+        object.__setattr__(op, "_counts", counts)
         ref = _OpRef(op, _forget)
         ref.key = key
         _ops[key] = ref
@@ -331,41 +334,17 @@ def apply_subst(term: Term, subst: Subst) -> Term:
     return term
 
 
-def _counts(term: Term) -> dict[int, int]:
-    """The term's variable-occurrence counts, computed once per product from
-    its sides' counts, without recursion."""
-    if term._counts is not None:
-        return term._counts
-    stack = [term]
-    while stack:
-        t = stack[-1]
-        left, right = t.left._counts, t.right._counts
-        if left is None or right is None:
-            if right is None:
-                stack.append(t.right)
-            if left is None:
-                stack.append(t.left)
-            continue
-        stack.pop()
-        if t._counts is None:
-            merged = left.copy()
-            for index, k in right.items():
-                merged[index] = merged.get(index, 0) + k
-            object.__setattr__(t, "_counts", merged)
-    return term._counts
-
-
 def shape(*terms: Term) -> tuple[int, dict[int, int]]:
     """(size, occurrences of each variable index) of the terms together.  The
     dict is keyed by first occurrence in preorder, earlier terms first.  For
-    a single term it is the term's own cached dict: read it, never change it."""
+    a single term it is the term's own dict: read it, never change it."""
     if len(terms) == 1:
-        return terms[0].size, _counts(terms[0])
+        return terms[0].size, terms[0]._counts
     size = 0
     counts: dict[int, int] = {}
     for term in terms:
         size += term.size
-        for index, k in _counts(term).items():
+        for index, k in term._counts.items():
             counts[index] = counts.get(index, 0) + k
     return size, counts
 

@@ -110,6 +110,17 @@ def test_export_bad_pair_exits_1(tmp_path):
     assert main(["export-tptp", "--eqs", eqs, "--out", str(tmp_path / "o"), "--pair", "1,9"]) == 1
 
 
+def test_export_writes_nothing_for_a_pair_outside_the_corpus(tmp_path, capsys):
+    # a law paired with itself is no ordered pair, and an id past the corpus
+    # fails before the output directory is made
+    eqs = _write(tmp_path / "two.eqs", "x*y = y*x\nx*y = x\n")
+    out_dir = tmp_path / "o"
+    for pair in ("1,1", "1,9", "0,2"):
+        assert main(["export-tptp", "--eqs", eqs, "--out", str(out_dir), "--pair", pair]) == 1
+        assert f"--pair {pair}: not two distinct ids" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 # --- run ---------------------------------------------------------------------
 
 
@@ -263,6 +274,20 @@ def test_run_bad_schedule_file_exits_1(tmp_path, capsys):
         assert "line 1" in capsys.readouterr().err
 
 
+def test_resume_rejects_a_log_of_another_corpus(tmp_path, capsys):
+    _, log = _mini_run(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
+    before = pathlib.Path(log).read_bytes()
+    eqs = _write(tmp_path / "two.eqs", "x*y = y*x\nx*y = x\n")
+    sched = str(tmp_path / "sched.txt")
+    capsys.readouterr()
+    assert main(["run", "--eqs", eqs, "--out", log, "--schedule", sched, "--resume"]) == 1
+    message = f"error: {log}:2: pair (1, 3) names law 3, but the corpus has 2 laws"
+    assert capsys.readouterr().err.startswith(message)
+    assert pathlib.Path(log).read_bytes() == before
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 # --- closure -----------------------------------------------------------------
 
 
@@ -406,6 +431,54 @@ def test_verify_accepts_honest_log(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--eqs", eqs, "--results", log]) == 0
     assert "verified" in capsys.readouterr().out
+
+
+def test_verify_counts_saturation_refutations_as_unchecked(tmp_path, capsys):
+    eqs = _write(tmp_path / "two.eqs", "x*y = y*x\n(x*y)*z = x*(y*z)\n")
+    sched = _write(tmp_path / "sched.txt", "only-satur satur steps 500\n")
+    log = str(tmp_path / "out.jsonl")
+    assert main(["run", "--eqs", eqs, "--out", log, "--schedule", sched]) == 0
+    assert pathlib.Path(log).read_text().count('"witness": "saturation"') == 2
+    capsys.readouterr()
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 0
+    assert capsys.readouterr().out == (
+        "verified 0 witnesses and 0 closure records across 2 records; "
+        "2 saturation refutations are unchecked\n"
+    )
+
+
+def test_verify_rejects_a_closure_record_no_rule_derives(tmp_path, capsys):
+    # commutativity does not imply associativity, and nothing else in the
+    # log derives it
+    eqs = _write(tmp_path / "two.eqs", "x*y = y*x\n(x*y)*z = x*(y*z)\n")
+    row = {"lhs": 1, "rhs": 2, "status": "proven", "method": "closure:R1", "stage": 0,
+           "seconds": 0.0, "witness": None}
+    log = _write_log(tmp_path / "out.jsonl", [row])
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+    assert "pair (1, 2): closure does not derive" in capsys.readouterr().err
+
+
+def test_verify_rederives_honest_closure_records(tmp_path, capsys):
+    eqs, log = _mini_run(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
+    rows = [json.loads(line) for line in open(log)]
+    # (3, 2) made unsolved: closure derives its refutation from (1, 3) and (1, 2)
+    for row in rows:
+        if (row["lhs"], row["rhs"]) == (3, 2):
+            row.update(status="unsolved", method=None, stage=None, witness=None)
+    _write_log(pathlib.Path(log), rows)
+    assert main(["closure", "--results", log]) == 0
+    assert "derived 1 new results" in capsys.readouterr().out
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 0
+    assert "verified 5 witnesses and 1 closure records across 6 records" in capsys.readouterr().out
+    closed = [json.loads(line) for line in open(log)]
+    # with its status flipped, or a premise gone, the record no longer follows
+    for edit in (
+        lambda rows: [dict(r, status="proven") if r["stage"] == 0 else r for r in rows],
+        lambda rows: [r for r in rows if (r["lhs"], r["rhs"]) != (1, 3)],
+    ):
+        _write_log(pathlib.Path(log), edit(closed))
+        assert main(["verify", "--eqs", eqs, "--results", log]) == 2
+        assert "pair (3, 2): closure does not derive" in capsys.readouterr().err
 
 
 def _tamper(log, pair, mutate):

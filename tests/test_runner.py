@@ -106,7 +106,8 @@ def test_method_spec_validation():
         MethodSpec("x", ENGINE_FMB, Budget.of_steps(0))
     with pytest.raises(ValueError):
         MethodSpec("x", ENGINE_FMB, Budget.of_steps(10), max_size=1)
-    # verify skips the witness of a record whose method names a closure rule
+    # verify re-derives, rather than re-checks, a record whose method names a
+    # closure rule
     with pytest.raises(ValueError, match="derived records"):
         MethodSpec("closure:R9", ENGINE_FMB, Budget.of_steps(10))
 
@@ -323,7 +324,7 @@ def _recording(monkeypatch):
 
 
 def _probe_budget(stage):
-    return Budget(steps=min(runner.K, stage.budget.steps), seconds=runner.CAP)
+    return Budget.of_steps(min(runner.K, stage.budget.steps))
 
 
 def test_a_proof_found_by_the_probe_skips_the_model_finder(tmp_path, monkeypatch):
@@ -346,6 +347,17 @@ def test_a_proof_found_by_the_probe_skips_the_model_finder(tmp_path, monkeypatch
     assert (refuted.status, refuted.method, refuted.stage) == (REFUTED, "mini-fmb", 1)
     goal = skolemize(corpus.by_id(2))
     assert replay_proof(parse_proof(proved.witness), corpus.by_id(1), goal).accepted
+
+
+def test_step_budgeted_stages_get_step_budgets_only():
+    # the decide-early phase cuts a step-budgeted stage by steps alone, so
+    # what it does never depends on how loaded the host is
+    schedule = default_schedule()
+    attempts = runner._attempts(schedule)
+    assert [index for index, _, _ in attempts] == [1, 2, 1, 2, 3, 4, 5]
+    for index, budget, _ in attempts:
+        if schedule.stages[index - 1].budget.seconds is None:
+            assert budget.steps is not None and budget.seconds is None
 
 
 @pytest.mark.parametrize(
@@ -393,16 +405,16 @@ def _mini_records(corpus, schedule):
 PROBED_LAWS = ["x = x", "x*y = u*w", "x*y = y*x", "x*y = x", "x*x = x", "x = y"]
 
 
-def test_probes_cut_at_zero_seconds_change_no_record(tmp_path, monkeypatch):
+def test_probes_cut_at_zero_steps_change_no_record(tmp_path, monkeypatch):
     corpus = _corpus(tmp_path, PROBED_LAWS)
     schedule = _mini_schedule()
     expected = _mini_records(corpus, schedule)
     assert any(r.status == PROVEN and r.method == "mini-satur" for r in expected)
-    monkeypatch.setattr(runner, "CAP", 0.0)
+    monkeypatch.setattr(runner, "K", 0)
     calls = _recording(monkeypatch)
     assert _mini_records(corpus, schedule) == expected
     probes = [
-        status for kind, budget, status in calls if kind == "satur" and budget.seconds == 0.0
+        status for kind, budget, status in calls if kind == "satur" and budget.steps == 0
     ]
     assert probes and set(probes) == {OUT_OF_BUDGET}
 
@@ -415,7 +427,7 @@ def test_a_probe_that_raises_changes_no_record(tmp_path, monkeypatch):
     raised = []
 
     def raise_in_probes(premise, goal, budget):
-        if budget.seconds is not None:
+        if budget.steps == runner.K:
             raised.append(goal)
             raise RuntimeError("probe failed")
         return real_saturate(premise, goal, budget)
@@ -468,7 +480,7 @@ def test_decide_early_seconds_accounting(tmp_path, monkeypatch):
     goals = {skolemize(corpus.by_id(rhs)): rhs for rhs in range(2, 7)}
 
     def satur(premise, goal, budget):
-        script = probes if budget.seconds == runner.CAP else stage_runs
+        script = probes if budget.steps == runner.K else stage_runs
         seconds, status = script[goals[goal]]
         clock.now += seconds
         if status == "raise":

@@ -190,6 +190,22 @@ def test_shape_counts_symbols_and_variable_occurrences():
         assert counts == {i: leaves.count(i) for i in leaves}
 
 
+def test_a_product_leaves_the_shape_of_its_sides_unchanged():
+    # a product's counts are built from its sides' dicts, ground or not, and
+    # building on the product must change none of them
+    term = parse_term("x*(y*x)")
+    ground = parse_term("a*b")
+    for build in (lambda t: Op(ground, t), lambda t: Op(t, ground)):
+        product = build(term)
+        assert shape(product) == (9, {0: 2, 1: 1})
+        for side in (Var(0), Var(2), Op(Var(2), Var(1))):
+            Op(product, side)
+            Op(side, product)
+        assert shape(product) == (9, {0: 2, 1: 1})
+        assert shape(term) == (5, {0: 2, 1: 1})
+        assert shape(ground) == (3, {})
+
+
 def test_canonicalize_idempotent():
     rng = random.Random(7)
     for _ in range(500):
