@@ -10,7 +10,7 @@ runtime histograms.
 """
 
 from .models import FOUND, find_countermodel
-from .saturation import PROVED, replay_proof, saturate
+from .saturation import PROVED, replay_proof, saturate, saturate_many
 from .terms import parse_equation
 from .tptp import skolemize
 
@@ -21,5 +21,6 @@ __all__ = [
     "parse_equation",
     "replay_proof",
     "saturate",
+    "saturate_many",
     "skolemize",
 ]

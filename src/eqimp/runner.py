@@ -4,18 +4,18 @@ Each pair walks the schedule's stages in order until one decides it: a model
 finder stage refutes by exhibiting a countermodel, a saturation stage proves
 (with a replayable proof) or refutes by saturating.  The pairs that share a
 premise walk the stages together: a model finder stage searches the premise's
-models once for all of its conclusions still open, a saturation stage attempts
-each pair alone.  The deciding attempt is written as one JSON-lines record per
-pair; a pair no stage decides is recorded as unsolved.  Runs are resumable:
-decided records from a previous log are kept and their pairs skipped, unsolved
-ones are retried.
+models once for all of its conclusions still open, a saturation stage runs one
+given-clause loop for them all.  The deciding attempt is written as one
+JSON-lines record per pair; a pair no stage decides is recorded as unsolved.
+Runs are resumable: decided records from a previous log are kept and their
+pairs skipped, unsolved ones are retried.
 
 The walk is one list of engine attempts, each a stage with a budget and the
 statuses it may record.  The model finder cannot refute a true implication,
 so when the first stage is a step-budgeted model finder stage and the first
 saturation stage is step-budgeted too, the list opens with a decide-early
 phase: a slice of the first stage's search that records only refutations,
-then a saturation probe on each pair still open that records only proofs.
+then a saturation probe on the pairs still open that records only proofs.
 Both engines are deterministic under step budgets, so every record the phase
 writes is the one the stages themselves write; a pair the probe proves skips
 the model finder stages before the probed stage.
@@ -51,7 +51,7 @@ from .budget import Budget
 from .closure import PROVEN, REFUTED, StatusEntry, StatusMap, propagate
 from .models import FOUND, find_countermodels, format_countermodel
 from .models import find_countermodel  # noqa: F401 - the benchmark's traced pass wraps it here
-from .saturation import PROVED, SATURATED, format_proof, saturate
+from .saturation import PROVED, SATURATED, format_proof, saturate, saturate_many
 from .terms import Corpus, enumerate_pairs
 from .tptp import skolemize
 
@@ -312,8 +312,8 @@ def attempt_premise(
     """Run the premise's engine attempts (see _attempts) in order on the pairs
     (lhs, rhs) for each rhs until one decides it; returns their records in
     rhss order.  A model finder attempt searches the premise's models once for
-    all conclusions still open, a saturation attempt tries each open pair
-    alone.  An outcome the attempt may not record leaves the pair open.
+    all conclusions still open, a saturation attempt runs one given-clause
+    loop for them all.  An outcome the attempt may not record leaves it open.
     Crashes inside an engine become unsolved records carrying the error note.
 
     With a deadline (a time.monotonic() value) every attempt also stops at it;
@@ -331,10 +331,7 @@ def attempt_premise(
         if stage.engine == ENGINE_FMB:
             results = _fmb_stage(premise, conclusions, stage.max_size, _cut(budget, deadline))
         else:
-            results = [
-                _satur_stage(premise, conclusion, _cut(budget, deadline))
-                for conclusion in conclusions
-            ]
+            results = _satur_stage(premise, conclusions, _cut(budget, deadline))
         cut = deadline is not None and time.monotonic() >= deadline
         for rhs, (decided, seconds) in zip(open_rhss, results):
             if decided is None and cut:
@@ -420,20 +417,32 @@ def _fmb_stage(premise, conclusions, max_size: int, budget: Budget) -> list:
     ]
 
 
-def _satur_stage(premise, conclusion, budget: Budget) -> tuple:
-    """(decision or None, seconds) of one saturation attempt."""
+def _satur_stage(premise, conclusions, budget: Budget) -> list:
+    """(decision or None, seconds) per conclusion from one shared given-clause
+    loop.  A proved or saturated conclusion's seconds run from the loop's
+    start until its goal closed; every other conclusion gets the whole
+    loop's."""
     started = time.monotonic()
-    decided = None
     try:
-        outcome = saturate(premise, skolemize(conclusion), budget)
-        if outcome.status == PROVED:
-            decided = (PROVEN, format_proof(outcome.proof))
-        elif outcome.status == SATURATED:
-            # no countermodel in hand; the saturated set refutes
-            decided = (REFUTED, "saturation")
+        goals = [skolemize(conclusion) for conclusion in conclusions]
+        if len(goals) == 1:  # the benchmark's traced pass wraps and replays saturate calls
+            outcomes = [saturate(premise, goals[0], budget)]
+        else:
+            outcomes = saturate_many(premise, goals, budget)
     except Exception as err:  # noqa: BLE001 - a crash becomes a record
-        decided = (UNSOLVED, f"error:{err}")
-    return decided, time.monotonic() - started
+        outcomes = [err] * len(conclusions)
+    elapsed = time.monotonic() - started
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            results.append(((UNSOLVED, f"error:{outcome}"), elapsed))
+        elif outcome.status == PROVED:
+            results.append(((PROVEN, format_proof(outcome.proof)), outcome.seconds))
+        elif outcome.status == SATURATED:  # no countermodel in hand; the saturated set refutes
+            results.append(((REFUTED, "saturation"), outcome.seconds))
+        else:
+            results.append((None, elapsed))
+    return results
 
 
 def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRecord]:

@@ -1,10 +1,11 @@
-"""Unit-equality saturation for one axiom against a ground disequation.
+"""Unit-equality saturation for one axiom against ground disequations.
 
 The prover runs unfailing completion: equations are oriented with a
 Knuth-Bendix ordering where possible, critical pairs are drawn between the
-maximal sides, and the goal's two ground sides are kept normalized under
-ordered rewriting.  The goal is proved when its sides meet; a saturated set
-with the goal still open refutes the implication.
+maximal sides, and each goal's two ground sides are kept normalized under
+ordered rewriting.  A goal is proved when its sides meet; a saturated set
+with the goal still open refutes the implication.  The goals never steer the
+search, so one loop serves all the goals of an axiom.
 
 Every derived equation carries a derivation record: the records it came from
 and what was done to them (a rewrite's substitution and position, an
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -452,17 +454,37 @@ class SaturationOutcome:
     status: str  # PROVED | SATURATED | OUT_OF_BUDGET
     proof: Proof | None
     steps_used: int
+    seconds: float = field(compare=False)  # from the loop's start until the goal closed
 
 
-def saturate(
-    axiom: Equation,
-    goal: GroundDiseq,
-    budget: Budget = UNLIMITED,
-) -> SaturationOutcome:
-    """Prove or refute goal.left = goal.right from one universally
-    quantified axiom.  Returns Proved with a replayable proof, Saturated when
-    the equation set closes without joining the goal, or OutOfBudget."""
+def saturate(axiom: Equation, goal: GroundDiseq, budget: Budget = UNLIMITED) -> SaturationOutcome:
+    """Prove or refute goal.left = goal.right from one universally quantified
+    axiom: saturate_many over the one goal, whose error is raised.  Proved
+    comes with a replayable proof; Saturated refutes."""
+    (outcome,) = saturate_many(axiom, [goal], budget)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
+    """One outcome per goal, in order, from one given-clause loop.  The goals
+    never steer it: each open goal's sides are normalized at the top of every
+    iteration, so each outcome (steps and proof included) is the one its goal
+    gets alone.  An exception raised on one goal's sides is that goal's entry;
+    one raised on the axiom's side is every open goal's.  An outcome's
+    seconds run from the loop's start until its goal closed."""
+    started = time.monotonic()
     meter = BudgetMeter(budget)
+    outcomes: list[SaturationOutcome | Exception | None] = [None] * len(goals)
+    # each open goal's sides and the rule uses that rewrote them so far
+    open_goals = {index: (goal.left, [], goal.right, []) for index, goal in enumerate(goals)}
+
+    def close(index, status, proof=None):
+        del open_goals[index]
+        outcomes[index] = status if isinstance(status, Exception) else SaturationOutcome(
+            status, proof, meter.steps_used, time.monotonic() - started
+        )
 
     queue: list[tuple[int, int, Term, Term, Derivation]] = []
     serial = 0
@@ -485,69 +507,78 @@ def saturate(
         heapq.heappush(queue, (shape(left, right)[0], serial, left, right, derivation))
         serial += 1
 
-    base = orient_equation(axiom)
-    if base is not None:
-        enqueue(Equation(base.lhs, base.rhs), base.lhs, base.rhs, base.derivation)
-
     processed: list[ProcessedEq] = []
     rules = _directed_rules(processed)
-    goal_left, goal_right = goal.left, goal.right
-    left_uses: list[Use] = []
-    right_uses: list[Use] = []
+    status: str | Exception = OUT_OF_BUDGET
+    try:
+        base = orient_equation(axiom)
+        if base is not None:
+            enqueue(Equation(base.lhs, base.rhs), base.lhs, base.rhs, base.derivation)
 
-    while meter.tick():
-        goal_left, uses = _normalize_traced(goal_left, rules)
-        left_uses.extend(uses)
-        goal_right, uses = _normalize_traced(goal_right, rules)
-        right_uses.extend(uses)
-        if goal_left == goal_right:
-            conversion = Derivation(tuple(left_uses + _reverse(right_uses)))
-            return SaturationOutcome(PROVED, Proof(expand(conversion)), meter.steps_used)
-        if not queue:
-            return SaturationOutcome(SATURATED, None, meter.steps_used)
+        while open_goals and meter.tick():
+            for index, (goal_left, left_uses, goal_right, right_uses) in list(open_goals.items()):
+                try:
+                    goal_left, uses = _normalize_traced(goal_left, rules)
+                    left_uses.extend(uses)
+                    goal_right, uses = _normalize_traced(goal_right, rules)
+                    right_uses.extend(uses)
+                    open_goals[index] = (goal_left, left_uses, goal_right, right_uses)
+                    if goal_left == goal_right:
+                        conversion = Derivation(tuple(left_uses + _reverse(right_uses)))
+                        close(index, PROVED, Proof(expand(conversion)))
+                except Exception as err:  # noqa: BLE001 - this goal's own error
+                    close(index, err)
+            if not (open_goals and queue):  # every goal closed, or the set saturated
+                status = SATURATED
+                break
 
-        _, _, left, right, derivation = heapq.heappop(queue)
-        left2, uses_l = _normalize_traced(left, rules)
-        right2, uses_r = _normalize_traced(right, rules)
-        if left2 == right2:
-            continue
-        left2, right2, derivation = _canonical_triple(
-            left2, right2, _reverse(uses_l) + [Use(derivation)] + uses_r
-        )
-        if (left2, right2) != (left, right) and not unseen(Equation(left2, right2)):
-            continue
-        given = ProcessedEq(left2, right2, kbo_compare(left2, right2), derivation)
-
-        # the deadline checks below use no steps, so step-budgeted runs are
-        # unaffected; they keep one long iteration from overrunning a wall budget
-        new_triples = []
-        for other in processed + [given]:
-            new_triples.extend(_critical_pair_triples(given, other, meter))
-            if meter.expired():
-                return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
-
-        # inter-reduction: simplify stored equations with the new one
-        given_rules = _directed_rules([given])
-        survivors = []
-        for other in processed:
-            if meter.expired():
-                return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
-            l2, sl = _normalize_traced(other.lhs, given_rules)
-            r2, sr = _normalize_traced(other.rhs, given_rules)
-            if l2 == other.lhs and r2 == other.rhs:
-                survivors.append(other)
+            _, _, left, right, derivation = heapq.heappop(queue)
+            left2, uses_l = _normalize_traced(left, rules)
+            right2, uses_r = _normalize_traced(right, rules)
+            if left2 == right2:
                 continue
-            if l2 == r2:
+            left2, right2, derivation = _canonical_triple(
+                left2, right2, _reverse(uses_l) + [Use(derivation)] + uses_r
+            )
+            if (left2, right2) != (left, right) and not unseen(Equation(left2, right2)):
                 continue
-            derivation2 = Derivation(tuple(_reverse(sl) + [Use(other.derivation)] + sr))
-            enqueue(canonicalize(Equation(l2, r2)), l2, r2, derivation2)
-        processed = survivors + [given]
-        rules = _directed_rules(processed)
+            given = ProcessedEq(left2, right2, kbo_compare(left2, right2), derivation)
 
-        for left3, right3, derivation3 in new_triples:
-            enqueue(Equation(left3, right3), left3, right3, derivation3)
+            # the deadline checks below use no steps, so step-budgeted runs are
+            # unaffected; they keep one long iteration from overrunning a wall budget
+            new_triples = []
+            for other in processed + [given]:
+                new_triples.extend(_critical_pair_triples(given, other, meter))
+                if meter.expired():
+                    break
 
-    return SaturationOutcome(OUT_OF_BUDGET, None, meter.steps_used)
+            # inter-reduction: simplify stored equations with the new one
+            given_rules = _directed_rules([given])
+            survivors = []
+            for other in processed:
+                if meter.expired():
+                    break
+                l2, sl = _normalize_traced(other.lhs, given_rules)
+                r2, sr = _normalize_traced(other.rhs, given_rules)
+                if l2 == other.lhs and r2 == other.rhs:
+                    survivors.append(other)
+                    continue
+                if l2 == r2:
+                    continue
+                derivation2 = Derivation(tuple(_reverse(sl) + [Use(other.derivation)] + sr))
+                enqueue(canonicalize(Equation(l2, r2)), l2, r2, derivation2)
+            if meter.expired():
+                break
+            processed = survivors + [given]
+            rules = _directed_rules(processed)
+
+            for left3, right3, derivation3 in new_triples:
+                enqueue(Equation(left3, right3), left3, right3, derivation3)
+    except Exception as err:  # noqa: BLE001 - the axiom side's error is every open goal's
+        status = err
+    for index in list(open_goals):
+        close(index, status)
+    return outcomes
 
 
 # --- proof replay and serialization ---------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
 from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
-from eqimp import runner
+from eqimp import runner, saturation
 from eqimp.closure import PROVEN, REFUTED, StatusEntry
 from eqimp.models import (
     FOUND,
@@ -258,6 +258,24 @@ def test_premise_group_records_and_their_seconds(tmp_path):
     assert refuted.seconds < searched.seconds
 
 
+def test_a_goal_past_the_rewrite_cap_gets_its_own_error_record(tmp_path, monkeypatch):
+    # one saturation loop serves the premise's three conclusions; under left
+    # projection the second's left side takes four rewrites, past the cap
+    monkeypatch.setattr(saturation, "REWRITE_CAP", 3)
+    corpus = _corpus(tmp_path, ["x*y = x", "x*y = x*z", "x = (((x*y)*z)*w)*u", "x*y = y*x"])
+    satur_only = Schedule((MethodSpec("only-satur", ENGINE_SATUR, Budget.of_steps(50)),))
+    records = attempt_premise(corpus, 1, (2, 3, 4), satur_only)
+    assert [(r.status, r.witness) for r in records[1:]] == [
+        (UNSOLVED, "error:rewrite step cap 3 exceeded"),
+        (REFUTED, "saturation"),
+    ]
+    assert records[0].status == PROVEN
+    strip = lambda r: dataclasses.replace(r, seconds=0.0)
+    assert [strip(r) for r in records] == [
+        strip(attempt_pair(corpus, 1, rhs, satur_only)) for rhs in (2, 3, 4)
+    ]
+
+
 # --- the decide-early phase ---------------------------------------------------
 
 
@@ -305,9 +323,11 @@ def test_desk_records_come_from_the_pinned_files(tmp_path):
 
 def _recording(monkeypatch):
     """Record the budget of every engine call the runner makes, as
-    ("fmb", budget, conclusion count) or ("satur", budget, status)."""
+    ("fmb", budget, conclusion count) or ("satur", budget, statuses), where
+    statuses holds one outcome status per goal of the call."""
     calls = []
-    find_countermodels, saturate = runner.find_countermodels, runner.saturate
+    find_countermodels = runner.find_countermodels
+    saturate, saturate_many = runner.saturate, runner.saturate_many
 
     def fmb(premise, conclusions, max_size, budget):
         calls.append(("fmb", budget, len(conclusions)))
@@ -315,11 +335,17 @@ def _recording(monkeypatch):
 
     def satur(premise, goal, budget):
         outcome = saturate(premise, goal, budget)
-        calls.append(("satur", budget, outcome.status))
+        calls.append(("satur", budget, (outcome.status,)))
         return outcome
+
+    def satur_many(premise, goals, budget):
+        outcomes = saturate_many(premise, goals, budget)
+        calls.append(("satur", budget, tuple(outcome.status for outcome in outcomes)))
+        return outcomes
 
     monkeypatch.setattr(runner, "find_countermodels", fmb)
     monkeypatch.setattr(runner, "saturate", satur)
+    monkeypatch.setattr(runner, "saturate_many", satur_many)
     return calls
 
 
@@ -339,8 +365,7 @@ def test_a_proof_found_by_the_probe_skips_the_model_finder(tmp_path, monkeypatch
     proved, refuted = attempt_premise(corpus, 1, (2, 3), schedule)
     assert calls == [
         ("fmb", Budget.of_steps(1), 2),
-        ("satur", _probe_budget(satur), PROVED),
-        ("satur", _probe_budget(satur), SATURATED),
+        ("satur", _probe_budget(satur), (PROVED, SATURATED)),
         ("fmb", fmb.budget, 1),
     ]
     assert (proved.status, proved.method, proved.stage) == (PROVEN, "mini-satur", 2)
@@ -414,7 +439,10 @@ def test_probes_cut_at_zero_steps_change_no_record(tmp_path, monkeypatch):
     calls = _recording(monkeypatch)
     assert _mini_records(corpus, schedule) == expected
     probes = [
-        status for kind, budget, status in calls if kind == "satur" and budget.steps == 0
+        status
+        for kind, budget, statuses in calls
+        if kind == "satur" and budget.steps == 0
+        for status in statuses
     ]
     assert probes and set(probes) == {OUT_OF_BUDGET}
 
@@ -423,16 +451,20 @@ def test_a_probe_that_raises_changes_no_record(tmp_path, monkeypatch):
     corpus = _corpus(tmp_path, PROBED_LAWS)
     schedule = _mini_schedule()
     expected = _mini_records(corpus, schedule)
-    real_saturate = runner.saturate
     raised = []
 
-    def raise_in_probes(premise, goal, budget):
-        if budget.steps == runner.K:
-            raised.append(goal)
-            raise RuntimeError("probe failed")
-        return real_saturate(premise, goal, budget)
+    def raise_in_probes(saturate):
+        # stands in for saturate (one goal) and saturate_many (a list of them)
+        def stub(premise, goals, budget):
+            if budget.steps == runner.K:
+                raised.append(goals)
+                raise RuntimeError("probe failed")
+            return saturate(premise, goals, budget)
 
-    monkeypatch.setattr(runner, "saturate", raise_in_probes)
+        return stub
+
+    monkeypatch.setattr(runner, "saturate", raise_in_probes(runner.saturate))
+    monkeypatch.setattr(runner, "saturate_many", raise_in_probes(runner.saturate_many))
     assert _mini_records(corpus, schedule) == expected
     assert raised
 
@@ -451,7 +483,8 @@ def test_decide_early_seconds_accounting(tmp_path, monkeypatch):
     # scripted engines on a fake clock, in dyadic seconds so every sum is
     # exact.  Per conclusion: whether the slice or the model finder stage
     # refutes it (and when), and what the probe and the saturation stage do
-    # (seconds taken, then the outcome status or "raise")
+    # for it in their shared loop (seconds until its goal closed, then the
+    # outcome status or "raise"); a loop lasts as long as its slowest goal
     corpus = _corpus(
         tmp_path,
         ["x = x", "x*y = y*x", "x*y = x", "x*x = x", "x = y", "(x*y)*z = x*(y*z)"],
@@ -479,22 +512,27 @@ def test_decide_early_seconds_accounting(tmp_path, monkeypatch):
 
     goals = {skolemize(corpus.by_id(rhs)): rhs for rhs in range(2, 7)}
 
-    def satur(premise, goal, budget):
+    def satur_many(premise, goal_list, budget):
         script = probes if budget.steps == runner.K else stage_runs
-        seconds, status = script[goals[goal]]
-        clock.now += seconds
-        if status == "raise":
-            raise RuntimeError("boom")
-        return SaturationOutcome(status, Proof(()) if status == PROVED else None, 1)
+        runs = [script[goals[goal]] for goal in goal_list]
+        clock.now += max(seconds for seconds, _ in runs)
+        return [
+            RuntimeError("boom")
+            if status == "raise"
+            else SaturationOutcome(status, Proof(()) if status == PROVED else None, 1, seconds)
+            for seconds, status in runs
+        ]
 
     monkeypatch.setattr(runner, "find_countermodels", fmb)
-    monkeypatch.setattr(runner, "saturate", satur)
+    monkeypatch.setattr(runner, "saturate_many", satur_many)
     records = attempt_premise(corpus, 1, (2, 3, 4, 5, 6), schedule)
     assert [(r.rhs, r.status, r.stage, r.seconds) for r in records] == [
         (2, REFUTED, 1, 0.25),  # the slice's time until its countermodel
-        (3, PROVEN, 2, 0.125),  # the probe's own time, without the slice
-        (4, UNSOLVED, None, 0.5 + 1.0 + 2.0 + 4.0),  # every attempt
-        (5, UNSOLVED, 2, 0.5 + 0.0625 + 2.0 + 0.03125),  # the crash plus every attempt before it
+        (3, PROVEN, 2, 0.125),  # the probe's time until its goal closed, without the slice
+        (4, UNSOLVED, None, 0.5 + 1.0 + 2.0 + 4.0),  # every attempt, each loop whole
+        # the whole loop it crashed in, plus every attempt before it (the
+        # probe's until it saturated)
+        (5, UNSOLVED, 2, 0.5 + 0.0625 + 2.0 + 4.0),
         (6, REFUTED, 1, 1.5),  # the stage's time until its countermodel
     ]
     assert records[4].witness == format_countermodel(Countermodel(table, (0, 1)))

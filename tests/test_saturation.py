@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import oracle_holds, oracle_tables, random_ground_term, random_term
+from conftest import oracle_holds, oracle_tables, random_equation, random_ground_term, random_term
 from eqimp import saturation
 from eqimp.budget import UNLIMITED, Budget, BudgetMeter
 from eqimp.models import FOUND, find_countermodel
@@ -32,6 +32,7 @@ from eqimp.saturation import (
     parse_proof,
     replay_proof,
     saturate,
+    saturate_many,
     unify,
 )
 from eqimp.terms import (
@@ -644,21 +645,48 @@ def test_parse_proof_rejects_garbage():
 # --- pinned proofs ----------------------------------------------------------------------
 
 
-def _desk_proofs_text() -> str:
+def _outcomes(name, steps, shared=False):
+    """(lhs, rhs, premise, goal, outcome) for every pair of a corpus in pair
+    order under a step budget: one saturate call per pair or, when shared,
+    one saturate_many call per premise over all of its conclusions."""
+    corpus = load_corpus(str(DATA / name))
+    for lhs, pairs in itertools.groupby(enumerate_pairs(corpus), key=lambda pair: pair[0]):
+        rhss = [rhs for _, rhs in pairs]
+        premise = corpus.by_id(lhs)
+        goals = [skolemize(corpus.by_id(rhs)) for rhs in rhss]
+        if shared:
+            outcomes = saturate_many(premise, goals, Budget.of_steps(steps))
+        else:
+            outcomes = [saturate(premise, goal, Budget.of_steps(steps)) for goal in goals]
+        for rhs, goal, outcome in zip(rhss, goals, outcomes):
+            yield lhs, rhs, premise, goal, outcome
+
+
+def _desk_proofs_text(shared=False) -> str:
     """Every proof the satur-500i stage (1,000 iterations) finds on its own over
     the desk corpus, as format_proof text under a 'pair <lhs> <rhs>' header.
     Each proof must replay against its premise."""
-    corpus = load_corpus(str(DATA / "desk.eqs"))
     lines = []
-    for lhs, rhs in enumerate_pairs(corpus):
-        premise, goal = corpus.by_id(lhs), skolemize(corpus.by_id(rhs))
-        outcome = saturate(premise, goal, Budget.of_steps(1_000))
+    for lhs, rhs, premise, goal, outcome in _outcomes("desk.eqs", 1_000, shared):
         if outcome.status != PROVED:
             continue
         assert replay_proof(outcome.proof, premise, goal).accepted, (lhs, rhs)
         lines.append(f"pair {lhs} {rhs}")
         if outcome.proof.steps:
             lines.append(format_proof(outcome.proof))
+    return "\n".join(lines) + "\n"
+
+
+def _random8_outcomes_text(shared=False) -> str:
+    """The status and step count of every random8.eqs pair at 10 iterations
+    under a 'pair' header, each proof's format_proof text after it."""
+    lines = []
+    for lhs, rhs, premise, goal, outcome in _outcomes("random8.eqs", 10, shared):
+        lines.append(f"pair {lhs} {rhs} {outcome.status} steps={outcome.steps_used}")
+        if outcome.status == PROVED:
+            assert replay_proof(outcome.proof, premise, goal).accepted, (lhs, rhs)
+            if outcome.proof.steps:
+                lines.append(format_proof(outcome.proof))
     return "\n".join(lines) + "\n"
 
 
@@ -675,20 +703,77 @@ def test_random_law_outcomes_match_the_pinned_text():
     # random8.eqs holds eight random laws, some with unorientable equations;
     # a 10-iteration budget leaves some pairs proved, some saturated and some
     # out of budget, and every status and step count is pinned with the proofs
-    corpus = load_corpus(str(DATA / "random8.eqs"))
-    lines = []
-    for lhs, rhs in enumerate_pairs(corpus):
-        premise, goal = corpus.by_id(lhs), skolemize(corpus.by_id(rhs))
-        outcome = saturate(premise, goal, Budget.of_steps(10))
-        lines.append(f"pair {lhs} {rhs} {outcome.status} steps={outcome.steps_used}")
-        if outcome.status == PROVED:
-            assert replay_proof(outcome.proof, premise, goal).accepted, (lhs, rhs)
-            if outcome.proof.steps:
-                lines.append(format_proof(outcome.proof))
-    got = "\n".join(lines) + "\n"
-    statuses = {line.split()[3] for line in lines if line.startswith("pair ")}
+    got = _random8_outcomes_text()
+    statuses = {line.split()[3] for line in got.splitlines() if line.startswith("pair ")}
     assert statuses == {PROVED, SATURATED, OUT_OF_BUDGET}
     assert got == (DATA / "random8_satur10i_outcomes.txt").read_text(encoding="utf-8")
+
+
+# --- one loop for all of a premise's goals ---------------------------------------------
+
+
+def test_shared_loops_match_the_pinned_texts():
+    # the texts were pinned from one saturate call per pair
+    desk = (DATA / "desk_satur500i_proofs.txt").read_text(encoding="utf-8")
+    random8 = (DATA / "random8_satur10i_outcomes.txt").read_text(encoding="utf-8")
+    assert _desk_proofs_text(shared=True) == desk
+    assert _random8_outcomes_text(shared=True) == random8
+
+
+def _summary(outcome):
+    return outcome.status, outcome.steps_used, outcome.proof and format_proof(outcome.proof)
+
+
+def test_shared_loop_matches_one_goal_calls_on_random_laws():
+    # eight seeded random laws at 8 iterations leave pairs proved, saturated
+    # and out of budget
+    rng = random.Random(4)
+    laws = [random_equation(rng) for _ in range(8)]
+    statuses = set()
+    for index, premise in enumerate(laws):
+        goals = [skolemize(law) for other, law in enumerate(laws) if other != index]
+        shared = saturate_many(premise, goals, Budget.of_steps(8))
+        alone = [saturate(premise, goal, Budget.of_steps(8)) for goal in goals]
+        assert list(map(_summary, shared)) == list(map(_summary, alone))
+        statuses.update(outcome.status for outcome in shared)
+    assert statuses == {PROVED, SATURATED, OUT_OF_BUDGET}
+
+
+def test_a_goal_past_the_rewrite_cap_fails_alone(monkeypatch):
+    # under left projection the middle goal's left side takes four rewrites
+    monkeypatch.setattr(saturation, "REWRITE_CAP", 3)
+    texts = ("x*y = x*z", "x = (((x*y)*z)*w)*u", "x*y = y*x")
+    goals = [skolemize(parse_equation(text)) for text in texts]
+    proved, capped, saturated = saturate_many(LEFT_PROJ, goals, Budget.of_steps(50))
+    assert isinstance(capped, ValueError) and str(capped) == "rewrite step cap 3 exceeded"
+    assert (proved.status, saturated.status) == (PROVED, SATURATED)
+    assert _summary(proved) == _summary(saturate(LEFT_PROJ, goals[0], Budget.of_steps(50)))
+    assert _summary(saturated) == _summary(saturate(LEFT_PROJ, goals[2], Budget.of_steps(50)))
+    with pytest.raises(ValueError, match="rewrite step cap 3 exceeded"):
+        saturate(LEFT_PROJ, goals[1], Budget.of_steps(50))
+
+
+def test_an_error_on_the_axiom_side_goes_to_every_open_goal(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(saturation, "_critical_pair_triples", boom)
+    # the first goal's sides meet before any critical pair is drawn
+    goals = [GroundDiseq(Op(A, B), Op(A, B)), skolemize(ASSOC), skolemize(IDEM)]
+    proved, *failed = saturate_many(COMM, goals, Budget.of_steps(10))
+    assert (proved.status, proved.steps_used) == (PROVED, 1)
+    assert [str(err) for err in failed] == ["boom", "boom"]
+
+
+def test_the_goals_of_one_loop_share_its_wall_budget():
+    axiom = parse_equation("x*(y*(y*y))=y*x")
+    texts = ("x=(y*(y*x))*(z*(y*x))", "x*y=y*x", "x=x*x", "x*y=x*(y*y)")
+    goals = [skolemize(parse_equation(text)) for text in texts]
+    started = time.monotonic()
+    outcomes = saturate_many(axiom, goals, Budget.of_wall(0.3))
+    assert time.monotonic() - started < 0.6  # within the 2x grace factor
+    still_open = [outcome for outcome in outcomes if outcome.status not in (PROVED, SATURATED)]
+    assert still_open and {outcome.status for outcome in still_open} == {OUT_OF_BUDGET}
 
 
 def test_long_chains_stay_cheap():
