@@ -81,12 +81,10 @@ def propagate(statuses: StatusMap) -> StatusMap:
     rows: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
     cols: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
 
-    def mark(lines: dict[int, int], key: int, bit: int) -> None:
-        lines[key] = lines.get(key, 0) | 1 << bit
-
     for (a, b), entry in statuses.items():
-        mark(rows[entry.status], a, b)
-        mark(cols[entry.status], b, a)
+        row, col = rows[entry.status], cols[entry.status]
+        row[a] = row.get(a, 0) | 1 << b
+        col[b] = col.get(b, 0) | 1 << a
     queue: deque[tuple[Pair, str]] = deque()
     for pair in sorted(statuses):
         queue.append((pair, statuses[pair].status))
@@ -112,32 +110,47 @@ def propagate(statuses: StatusMap) -> StatusMap:
                 f"{_describe(entry)}"
             )
         fresh = mask & ~same
+        row, col = rows[status], cols[status]
         while fresh:
             low = fresh & -fresh
             fresh ^= low
             v = low.bit_length() - 1
             a, b = pair = (fixed, v) if in_row else (v, fixed)
             result[pair] = StatusEntry(status, provenance, premises(v))
-            mark(rows[status], a, b)
-            mark(cols[status], b, a)
+            row[a] = row.get(a, 0) | 1 << b
+            col[b] = col.get(b, 0) | 1 << a
             queue.append((pair, status))
 
+    # a rule whose mask is empty derives nothing, so it is skipped before
+    # its premises function is built
     while queue:
         (a, b), status = queue.popleft()
         if status == PROVEN:
-            mark(proven_out, a, b)
-            mark(proven_in, b, a)
+            proven_out[a] = proven_out.get(a, 0) | 1 << b
+            proven_in[b] = proven_in.get(b, 0) | 1 << a
             # R1, with (a,b) as either premise
-            derive(proven_out.get(b, 0), a, True, PROVEN, "R1", lambda c: ((a, b), (b, c)))
-            derive(proven_in.get(a, 0), b, False, PROVEN, "R1", lambda z: ((z, a), (a, b)))
+            mask = proven_out.get(b, 0)
+            if mask:
+                derive(mask, a, True, PROVEN, "R1", lambda c: ((a, b), (b, c)))
+            mask = proven_in.get(a, 0)
+            if mask:
+                derive(mask, b, False, PROVEN, "R1", lambda z: ((z, a), (a, b)))
             # R2: (a,b) proven, (a,c) refuted  =>  (b,c) refuted
-            derive(refuted_out.get(a, 0), b, True, REFUTED, "R2", lambda c: ((a, b), (a, c)))
+            mask = refuted_out.get(a, 0)
+            if mask:
+                derive(mask, b, True, REFUTED, "R2", lambda c: ((a, b), (a, c)))
             # R3: (a,b) proven, (z,b) refuted  =>  (z,a) refuted
-            derive(refuted_in.get(b, 0), a, False, REFUTED, "R3", lambda z: ((a, b), (z, b)))
+            mask = refuted_in.get(b, 0)
+            if mask:
+                derive(mask, a, False, REFUTED, "R3", lambda z: ((a, b), (z, b)))
         else:
-            mark(refuted_out, a, b)
-            mark(refuted_in, b, a)
+            refuted_out[a] = refuted_out.get(a, 0) | 1 << b
+            refuted_in[b] = refuted_in.get(b, 0) | 1 << a
             # here (a,b) is the refuted premise A-/->C with A=a, C=b
-            derive(proven_out.get(a, 0), b, False, REFUTED, "R2", lambda m: ((a, m), (a, b)))
-            derive(proven_in.get(b, 0), a, True, REFUTED, "R3", lambda m: ((m, b), (a, b)))
+            mask = proven_out.get(a, 0)
+            if mask:
+                derive(mask, b, False, REFUTED, "R2", lambda m: ((a, m), (a, b)))
+            mask = proven_in.get(b, 0)
+            if mask:
+                derive(mask, a, True, REFUTED, "R3", lambda m: ((m, b), (a, b)))
     return result

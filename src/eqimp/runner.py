@@ -157,7 +157,11 @@ def load_schedule(path: str) -> Schedule:
         return parse_schedule(handle.read())
 
 
-@dataclass(frozen=True)
+# Treated as immutable: nothing assigns to a record's fields once built.  It is
+# not frozen because a frozen __init__ sets each field through
+# object.__setattr__, about half the cost of building a record, and a log holds
+# one per ordered pair; it stays a dataclass for dataclasses.replace.
+@dataclass(slots=True)
 class ResultRecord:
     lhs: int
     rhs: int
@@ -258,14 +262,14 @@ def _canonical_fields(line: str) -> tuple | None:
         return None
 
 
-def _write_log(path: str, records) -> None:
-    """Replace the log with these records in one rename, so a run killed
-    mid-write leaves the previous log intact."""
+def _write_log(path: str, lines) -> None:
+    """Replace the log with these lines, each a record as _record_line writes
+    it, in one rename, so a run killed mid-write leaves the previous log
+    intact."""
     temporary = f"{path}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(_record_line(record))
+            handle.writelines(lines)
         os.replace(temporary, path)
     except BaseException:
         if os.path.exists(temporary):
@@ -461,7 +465,7 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
         # drop unsolved records and a torn final line, so retried pairs cannot
         # produce duplicate lines; a log with neither is left as it is
         if len(done) < len(previous) or not _ends_with_newline(config.out_path):
-            _write_log(config.out_path, (done[pair] for pair in sorted(done)))
+            _write_log(config.out_path, (_record_line(done[pair]) for pair in sorted(done)))
 
     todo = [pair for pair in enumerate_pairs(corpus) if pair not in done]
     # one task per premise: its pairs, in pair order
@@ -562,15 +566,20 @@ def load_results(
     short by a killed run) is skipped.  With laws, the size of the corpus the
     log should belong to, a record naming a higher id is an error too."""
     records = []
+    append = records.append
+    # each pair's first line: setdefault returns an earlier one for a duplicate
     seen: dict[tuple[int, int], int] = {}
+    first_line = seen.setdefault
     status_map: StatusMap = {}
     # one shared entry per (status, method): a log holds few distinct ones
     entries: dict[tuple[str, str], StatusEntry] = {}
     # and one shared copy of each status and method string
     strings: dict[str | None, str | None] = {}
+    share = strings.setdefault
+    canonical_fields, record_type = _canonical_fields, ResultRecord
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
-            fields = _canonical_fields(raw)
+            fields = canonical_fields(raw)
             if fields is None:
                 line = raw.strip()
                 if not line:
@@ -589,9 +598,9 @@ def load_results(
                     record = _record_from_dict(payload)
                 else:
                     lhs, rhs, status, method, stage, seconds, witness = fields
-                    status = strings.setdefault(status, status)
-                    method = strings.setdefault(method, method)
-                    record = ResultRecord(lhs, rhs, status, method, stage, seconds, witness)
+                    record = record_type(
+                        lhs, rhs, share(status, status), share(method, method), stage, seconds, witness
+                    )
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
             pair = (record.lhs, record.rhs)
@@ -600,18 +609,18 @@ def load_results(
                     f"{path}:{lineno}: pair {pair} names law {max(pair)}, "
                     f"but the corpus has {laws} laws"
                 )
-            if pair in seen:
+            first = first_line(pair, lineno)
+            if first != lineno:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate record for pair {pair} "
-                    f"(first at line {seen[pair]})"
+                    f"(first at line {first})"
                 )
-            seen[pair] = lineno
-            records.append(record)
+            append(record)
             if record.status != UNSOLVED:
                 key = (record.status, record.method)
                 entry = entries.get(key)
                 if entry is None:
-                    entry = entries[key] = StatusEntry(record.status, record.method)
+                    entry = entries[key] = StatusEntry(*key)
                 status_map[pair] = entry
     return status_map, records
 
@@ -621,7 +630,10 @@ def propagate_log(path: str) -> int:
     records (method closure:R1|R2|R3, stage 0, no witness); returns how many
     new pairs were decided.  A pair that was unsolved directly but is decided
     by closure gets its unsolved record replaced.  A log closure adds nothing
-    to is not rewritten."""
+    to is not rewritten.  Derived records differ only in their pair and their
+    (status, rule), so _record_line renders one line per (status, rule) and
+    each derived line is its own pair followed by that line's text after the
+    pair."""
     status_map, records = load_results(path)
     closed = propagate(status_map)
     derived = {pair: entry for pair, entry in closed.items() if pair not in status_map}
@@ -633,10 +645,16 @@ def propagate_log(path: str) -> int:
         if not (record.status == UNSOLVED and (record.lhs, record.rhs) in derived)
     ]
 
-    def closure_records():
+    def closure_lines():
+        tails: dict[tuple[str, str], str] = {}
         for pair in sorted(derived):
             entry = derived[pair]
-            yield ResultRecord(*pair, entry.status, entry.provenance, CLOSURE_STAGE, 0.0, None)
+            key = (entry.status, entry.provenance)
+            tail = tails.get(key)
+            if tail is None:
+                line = _record_line(ResultRecord(1, 2, *key, CLOSURE_STAGE, 0.0, None))
+                tail = tails[key] = line.partition('"rhs": 2')[2]
+            yield f'{{"lhs": {pair[0]}, "rhs": {pair[1]}{tail}'
 
-    _write_log(path, itertools.chain(kept, closure_records()))
+    _write_log(path, itertools.chain(map(_record_line, kept), closure_lines()))
     return len(derived)

@@ -6,10 +6,12 @@ step, and proven implications are cross-checked against exhaustive enumeration
 of all multiplication tables up to size 3.
 """
 
+import copy
 import dataclasses
 import json
 import os
 import pathlib
+import pickle
 import random
 import re
 import threading
@@ -20,7 +22,7 @@ import pytest
 from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
 from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
 from eqimp import runner, saturation
-from eqimp.closure import PROVEN, REFUTED, StatusEntry
+from eqimp.closure import PROVEN, REFUTED, StatusEntry, propagate
 from eqimp.models import (
     FOUND,
     Countermodel,
@@ -994,6 +996,61 @@ def test_propagate_log_writes_json_dumps_lines(tmp_path):
         status = PROVEN if truth(lhs, rhs) else REFUTED
         assert line == json.dumps({"lhs": lhs, "rhs": rhs, "status": status, "method": method,
                                    "stage": 0, "seconds": 0.0, "witness": None}) + "\n"
+
+
+def test_closed_log_reads_back_to_its_bytes(tmp_path):
+    # a hidden preorder on 10 laws, a quarter of the pairs decided: closure
+    # derives by all three rules and leaves pairs unsolved
+    rng = random.Random(2)
+    features = [rng.getrandbits(4) for _ in range(10)]
+    truth = lambda lhs, rhs: features[rhs - 1] & ~features[lhs - 1] == 0
+    rows = []
+    for lhs in range(1, 11):
+        for rhs in range(1, 11):
+            if lhs == rhs:
+                continue
+            row = {"lhs": lhs, "rhs": rhs, "status": UNSOLVED, "method": None,
+                   "stage": None, "seconds": rng.random(), "witness": None}
+            if rng.random() < 0.25:
+                status = PROVEN if truth(lhs, rhs) else REFUTED
+                row.update(status=status, method="satur-500i", stage=2, witness="p")
+            rows.append(row)
+    # a kept record whose method and witness JSON escapes
+    odd = next(row for row in rows if row["status"] != UNSOLVED)
+    odd.update(method='odd "stage" naïve', witness='step "1"\\ é\n\t\x00€\U0001f600')
+    out = tmp_path / "out.jsonl"
+    out.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
+    status_map, _ = load_results(str(out))
+    derived = {pair: entry for pair, entry in propagate(status_map).items() if pair not in status_map}
+    assert {entry.provenance for entry in derived.values()} == {
+        "closure:R1", "closure:R2", "closure:R3"
+    }
+
+    assert propagate_log(str(out)) == len(derived)
+    written = out.read_text(encoding="ascii")
+    _, records = load_results(str(out))
+    assert "".join(map(runner._record_line, records)) == written
+    assert any(record.status == UNSOLVED for record in records)
+    assert any(record.method == odd["method"] and record.witness == odd["witness"] for record in records)
+    added = written.splitlines(keepends=True)[len(records) - len(derived) :]
+    assert added == [
+        runner._record_line(ResultRecord(*pair, entry.status, entry.provenance, 0, 0.0, None))
+        for pair, entry in sorted(derived.items())
+    ]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ResultRecord(3, 7, PROVEN, "satur-500i", 2, 0.25, "step 1: é € \U0001f600 naïve"),
+        ResultRecord(7, 3, UNSOLVED, None, None, 1.5, None),
+    ],
+)
+def test_records_cross_processes(record):
+    # worker processes send records back to the parent through pickle
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record
+    assert dataclasses.replace(record, seconds=0.0).seconds == 0.0
 
 
 # --- closing a log under the implication rules -------------------------------
