@@ -332,10 +332,7 @@ def attempt_premise(
             break
         stage = schedule.stages[index - 1]
         conclusions = [corpus.by_id(rhs) for rhs in open_rhss]
-        if stage.engine == ENGINE_FMB:
-            results = _fmb_stage(premise, conclusions, stage.max_size, _cut(budget, deadline))
-        else:
-            results = _satur_stage(premise, conclusions, _cut(budget, deadline))
+        results = _run_stage(stage, premise, conclusions, _cut(budget, deadline))
         cut = deadline is not None and time.monotonic() >= deadline
         for rhs, (decided, seconds) in zip(open_rhss, results):
             if decided is None and cut:
@@ -399,40 +396,21 @@ def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
     return walk
 
 
-def _fmb_stage(premise, conclusions, max_size: int, budget: Budget) -> list:
-    """(decision or None, seconds) per conclusion from one shared search.  A
-    refuted conclusion's seconds run from the search's start until its
-    countermodel was found; every other conclusion gets the whole search's."""
+def _run_stage(stage: MethodSpec, premise, conclusions, budget: Budget) -> list:
+    """(decision or None, seconds) per conclusion from one engine run for them
+    all: a model finder search or a given-clause loop.  A decided conclusion's
+    seconds run from the run's start until it was decided; every other
+    conclusion gets the whole run's.  A crash decides unsolved."""
     started = time.monotonic()
     try:
-        outcomes = find_countermodels(premise, conclusions, max_size, budget)
-        decisions = [
-            (REFUTED, format_countermodel(outcome.countermodel))
-            if outcome.status == FOUND
-            else None
-            for outcome in outcomes
-        ]
-    except Exception as err:  # noqa: BLE001 - a crash becomes a record
-        return [((UNSOLVED, f"error:{err}"), time.monotonic() - started)] * len(conclusions)
-    elapsed = time.monotonic() - started
-    return [
-        (decided, outcome.seconds if decided else elapsed)
-        for decided, outcome in zip(decisions, outcomes)
-    ]
-
-
-def _satur_stage(premise, conclusions, budget: Budget) -> list:
-    """(decision or None, seconds) per conclusion from one shared given-clause
-    loop.  A proved or saturated conclusion's seconds run from the loop's
-    start until its goal closed; every other conclusion gets the whole
-    loop's."""
-    started = time.monotonic()
-    try:
-        goals = [skolemize(conclusion) for conclusion in conclusions]
-        if len(goals) == 1:  # the benchmark's traced pass wraps and replays saturate calls
-            outcomes = [saturate(premise, goals[0], budget)]
+        if stage.engine == ENGINE_FMB:
+            outcomes = find_countermodels(premise, conclusions, stage.max_size, budget)
         else:
-            outcomes = saturate_many(premise, goals, budget)
+            goals = [skolemize(conclusion) for conclusion in conclusions]
+            if len(goals) == 1:  # the benchmark's traced pass wraps and replays saturate calls
+                outcomes = [saturate(premise, goals[0], budget)]
+            else:
+                outcomes = saturate_many(premise, goals, budget)
     except Exception as err:  # noqa: BLE001 - a crash becomes a record
         outcomes = [err] * len(conclusions)
     elapsed = time.monotonic() - started
@@ -440,6 +418,8 @@ def _satur_stage(premise, conclusions, budget: Budget) -> list:
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             results.append(((UNSOLVED, f"error:{outcome}"), elapsed))
+        elif outcome.status == FOUND:
+            results.append(((REFUTED, format_countermodel(outcome.countermodel)), outcome.seconds))
         elif outcome.status == PROVED:
             results.append(((PROVEN, format_proof(outcome.proof)), outcome.seconds))
         elif outcome.status == SATURATED:  # no countermodel in hand; the saturated set refutes

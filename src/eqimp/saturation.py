@@ -7,6 +7,10 @@ ordered rewriting.  A goal is proved when its sides meet; a saturated set
 with the goal still open refutes the implication.  The goals never steer the
 search, so one loop serves all the goals of an axiom.
 
+Every queued equation is a canonical triple: sides as canonicalize numbers
+them and a derivation ending in them.  The axiom, critical pairs and stored
+equations that inter-reduction simplifies all enter the queue that one way.
+
 Every derived equation carries a derivation record: the records it came from
 and what was done to them (a rewrite's substitution and position, an
 overlap's unifier, peak and variable shift, reversal, concatenation, the
@@ -373,6 +377,18 @@ def _normalize_traced(term, rules):
         term = new_term
 
 
+def _normal_triple(left, right, derivation, rules):
+    """The canonical triple of left = right with both sides normalized under
+    rules: the same triple when no rule applies, None when the sides meet."""
+    left2, uses_l = _normalize_traced(left, rules)
+    right2, uses_r = _normalize_traced(right, rules)
+    if left2 == right2:
+        return None
+    if not (uses_l or uses_r):
+        return left, right, derivation
+    return _canonical_triple(left2, right2, _reverse(uses_l) + [Use(derivation)] + uses_r)
+
+
 def orient_equation(eq: Equation) -> ProcessedEq | None:
     """Canonicalize and orient an equation; None when it is trivial (s = s).
     Its axiom step names the equation's id, or 1 when it has none."""
@@ -499,10 +515,10 @@ def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
         seen.add(canonicalize(Equation(key.rhs, key.lhs)))
         return True
 
-    def enqueue(key, left, right, derivation):
-        """Queue left = right unless its canonical form key was seen."""
+    def enqueue(left, right, derivation):
+        """Queue the canonical triple unless its equation was seen."""
         nonlocal serial
-        if not unseen(key):
+        if not unseen(Equation(left, right)):
             return
         heapq.heappush(queue, (shape(left, right)[0], serial, left, right, derivation))
         serial += 1
@@ -513,7 +529,7 @@ def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
     try:
         base = orient_equation(axiom)
         if base is not None:
-            enqueue(Equation(base.lhs, base.rhs), base.lhs, base.rhs, base.derivation)
+            enqueue(base.lhs, base.rhs, base.derivation)
 
         while open_goals and meter.tick():
             for index, (goal_left, left_uses, goal_right, right_uses) in list(open_goals.items()):
@@ -533,16 +549,13 @@ def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
                 break
 
             _, _, left, right, derivation = heapq.heappop(queue)
-            left2, uses_l = _normalize_traced(left, rules)
-            right2, uses_r = _normalize_traced(right, rules)
-            if left2 == right2:
+            triple = _normal_triple(left, right, derivation, rules)
+            if triple is None:
                 continue
-            left2, right2, derivation = _canonical_triple(
-                left2, right2, _reverse(uses_l) + [Use(derivation)] + uses_r
-            )
-            if (left2, right2) != (left, right) and not unseen(Equation(left2, right2)):
-                continue
-            given = ProcessedEq(left2, right2, kbo_compare(left2, right2), derivation)
+            if triple[2] is not derivation and not unseen(Equation(*triple[:2])):
+                continue  # rewritten to an equation already seen
+            left, right, derivation = triple
+            given = ProcessedEq(left, right, kbo_compare(left, right), derivation)
 
             # the deadline checks below use no steps, so step-budgeted runs are
             # unaffected; they keep one long iteration from overrunning a wall budget
@@ -558,22 +571,20 @@ def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
             for other in processed:
                 if meter.expired():
                     break
-                l2, sl = _normalize_traced(other.lhs, given_rules)
-                r2, sr = _normalize_traced(other.rhs, given_rules)
-                if l2 == other.lhs and r2 == other.rhs:
+                triple = _normal_triple(other.lhs, other.rhs, other.derivation, given_rules)
+                if triple is None:
+                    continue
+                if triple[2] is other.derivation:
                     survivors.append(other)
-                    continue
-                if l2 == r2:
-                    continue
-                derivation2 = Derivation(tuple(_reverse(sl) + [Use(other.derivation)] + sr))
-                enqueue(canonicalize(Equation(l2, r2)), l2, r2, derivation2)
+                else:  # re-enters the queue like a critical pair
+                    enqueue(*triple)
             if meter.expired():
                 break
             processed = survivors + [given]
             rules = _directed_rules(processed)
 
-            for left3, right3, derivation3 in new_triples:
-                enqueue(Equation(left3, right3), left3, right3, derivation3)
+            for triple in new_triples:
+                enqueue(*triple)
     except Exception as err:  # noqa: BLE001 - the axiom side's error is every open goal's
         status = err
     for index in list(open_goals):

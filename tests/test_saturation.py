@@ -1,9 +1,11 @@
+import heapq
 import itertools
 import pathlib
 import random
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -794,3 +796,35 @@ def test_expansion_deeper_than_the_recursion_limit():
         derivation = Derivation((Use(derivation, flip=True),))
     (step,) = expand(derivation)  # an odd number of reversals
     assert (step.before, step.after) == (LEFT_PROJ.rhs, LEFT_PROJ.lhs)
+
+
+# --- the queue ---------------------------------------------------------------------------
+
+INTER_REDUCED = ("(x*y)*(y*z)=y*x", "x*x=y*x")  # inter-reduction fires within 12 iterations
+
+
+def test_an_inter_reduced_equation_is_not_dropped():
+    # a stored equation simplified by a new one goes back on the queue and is
+    # processed; were it dropped, this proof would take longer to find
+    axiom, goal = _goal(*INTER_REDUCED)
+    outcome = saturate(axiom, goal, Budget.of_steps(40))
+    assert (outcome.status, outcome.steps_used, len(outcome.proof.steps)) == (PROVED, 12, 29)
+    assert replay_proof(outcome.proof, axiom, goal).accepted
+
+
+def test_every_queued_equation_is_a_canonical_triple(monkeypatch):
+    pushed = 0
+
+    def heappush(queue, entry):
+        nonlocal pushed
+        _, _, left, right, _ = entry
+        assert canonicalize(Equation(left, right)) == Equation(left, right)
+        pushed += 1
+        heapq.heappush(queue, entry)
+
+    checked = SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    monkeypatch.setattr(saturation, "heapq", checked)
+    saturate(*_goal(*INTER_REDUCED), Budget.of_steps(40))
+    for _ in _outcomes("random8.eqs", 10, shared=True):
+        pass
+    assert pushed > 0
