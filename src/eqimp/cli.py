@@ -83,7 +83,8 @@ def _parse_pair(text: str, laws: int) -> tuple[int, int]:
     left, sep, right = text.partition(",")
     if not sep:
         raise ValueError("--pair expects <lhsId>,<rhsId>")
-    lhs, rhs = int(left), int(right)
+    # ids are ASCII digits (int() also reads "+1", "1_0" and other scripts' digits)
+    lhs, rhs = (int(side) if side.isascii() and side.isdigit() else 0 for side in (left, right))
     if lhs == rhs or not (1 <= lhs <= laws and 1 <= rhs <= laws):
         raise ValueError(f"--pair {text}: not two distinct ids among the corpus's 1..{laws}")
     return lhs, rhs

@@ -610,31 +610,26 @@ def propagate_log(path: str) -> int:
     records (method closure:R1|R2|R3, stage 0, no witness); returns how many
     new pairs were decided.  A pair that was unsolved directly but is decided
     by closure gets its unsolved record replaced.  A log closure adds nothing
-    to is not rewritten.  Derived records differ only in their pair and their
-    (status, rule), so _record_line renders one line per (status, rule) and
-    each derived line is its own pair followed by that line's text after the
-    pair."""
+    to is not rewritten.  Derived records differ only in their pair and rule,
+    so each derived line is its pair followed by the rest of one line that
+    _record_line renders per rule."""
     status_map, records = load_results(path)
     closed = propagate(status_map)
-    derived = {pair: entry for pair, entry in closed.items() if pair not in status_map}
-    if not derived:
+    added = len(closed) - len(status_map)
+    if not added:
         return 0  # leave the log, its inode and its mtime as they are
-    kept = [
-        record
-        for record in records
-        if not (record.status == UNSOLVED and (record.lhs, record.rhs) in derived)
-    ]
+    # an unsolved pair is absent from status_map, so in closed only if derived
+    kept = (r for r in records if r.status != UNSOLVED or (r.lhs, r.rhs) not in closed)
 
     def closure_lines():
-        tails: dict[tuple[str, str], str] = {}
-        for pair in sorted(derived):
-            entry = derived[pair]
-            key = (entry.status, entry.provenance)
-            tail = tails.get(key)
+        tails: dict[str, str] = {}  # by rule, which fixes the status
+        for (lhs, rhs), entry in sorted(closed.derived()):
+            rule = entry.provenance
+            tail = tails.get(rule)
             if tail is None:
-                line = _record_line(ResultRecord(1, 2, *key, CLOSURE_STAGE, 0.0, None))
-                tail = tails[key] = line.partition('"rhs": 2')[2]
-            yield f'{{"lhs": {pair[0]}, "rhs": {pair[1]}{tail}'
+                line = _record_line(ResultRecord(1, 2, entry.status, rule, CLOSURE_STAGE, 0.0, None))
+                tail = tails[rule] = line.partition('"rhs": 2')[2]
+            yield f'{{"lhs": {lhs}, "rhs": {rhs}{tail}'
 
     _write_log(path, itertools.chain(map(_record_line, kept), closure_lines()))
-    return len(derived)
+    return added

@@ -111,11 +111,12 @@ def test_export_bad_pair_exits_1(tmp_path):
 
 
 def test_export_writes_nothing_for_a_pair_outside_the_corpus(tmp_path, capsys):
-    # a law paired with itself is no ordered pair, and an id past the corpus
+    # a law paired with itself is no ordered pair, an id past the corpus is no
+    # id, and neither is one int() reads but that is not ASCII digits; each
     # fails before the output directory is made
     eqs = _write(tmp_path / "two.eqs", "x*y = y*x\nx*y = x\n")
     out_dir = tmp_path / "o"
-    for pair in ("1,1", "1,9", "0,2"):
+    for pair in ("1,1", "1,9", "0,2", "+1,2", "1_0,2", "\u0661,2", "1, 2"):
         assert main(["export-tptp", "--eqs", eqs, "--out", str(out_dir), "--pair", pair]) == 1
         assert f"--pair {pair}: not two distinct ids" in capsys.readouterr().err
         assert not out_dir.exists()

@@ -6,8 +6,10 @@ step, and proven implications are cross-checked against exhaustive enumeration
 of all multiplication tables up to size 3.
 """
 
+import collections
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -21,7 +23,7 @@ import pytest
 
 from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
 from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
-from eqimp import runner, saturation
+from eqimp import closure, runner, saturation
 from eqimp.closure import PROVEN, REFUTED, StatusEntry, propagate
 from eqimp.models import (
     FOUND,
@@ -1105,3 +1107,39 @@ def test_propagate_log_adds_records_for_missing_pairs(tmp_path):
     _, records = load_results(str(out))
     chained = {(r.lhs, r.rhs): r for r in records}[(1, 3)]
     assert chained.status == PROVEN and chained.method == "closure:R1"
+
+
+def test_propagate_log_builds_no_entry_per_derived_pair(tmp_path, monkeypatch):
+    # the hidden preorder of test_closure's comparison with the set-based
+    # worklist, as a log: closure derives thousands of pairs, each written
+    # from its rule's shared entry, with no StatusEntry built for it
+    rng = random.Random(52)
+    feats = [sum(1 << f for f in range(10) if rng.random() < 0.5) for _ in range(100)]
+    truth = lambda lhs, rhs: feats[rhs - 1] & ~feats[lhs - 1] == 0
+    rows = []
+    for lhs, rhs in itertools.permutations(range(1, 101), 2):
+        row = {"lhs": lhs, "rhs": rhs, "status": UNSOLVED, "method": None,
+               "stage": None, "seconds": 0.5, "witness": None}
+        if rng.random() < 0.3:
+            status = PROVEN if truth(lhs, rhs) else REFUTED
+            row.update(status=status, method="satur-500i", stage=2)
+        rows.append(row)
+    out = tmp_path / "out.jsonl"
+    _write_log(out, rows)
+    built = collections.Counter()
+    entry_type = closure.StatusEntry
+
+    def counting(*args, **kwargs):
+        entry = entry_type(*args, **kwargs)
+        built[entry.status, entry.provenance] += 1
+        return entry
+
+    monkeypatch.setattr(closure, "StatusEntry", counting)
+    derived = propagate_log(str(out))
+    monkeypatch.undo()
+    assert derived > 2000
+    assert all(count <= 1 for count in built.values()), built
+    _, records = load_results(str(out))
+    by_rule = [r for r in records if r.method in ("closure:R1", "closure:R2", "closure:R3")]
+    assert len(by_rule) == derived and len(records) == len(rows)
+    assert all(r.status == (PROVEN if truth(r.lhs, r.rhs) else REFUTED) for r in by_rule)
