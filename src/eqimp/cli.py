@@ -18,6 +18,7 @@ from .runner import (
     UNSOLVED,
     RunConfig,
     default_schedule,
+    iter_records,
     load_results,
     load_schedule,
     propagate_log,
@@ -118,7 +119,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _, records = load_results(args.results)
+    records = iter_records(args.results)  # folded into the counts as it is read
     shaped = histogram(records) if args.histogram else summarize(records)
     sys.stdout.write(render(shaped, args.format))
     return 0
@@ -168,13 +169,17 @@ def _check_witness(corpus, record) -> tuple[bool, str | None]:
 def _cmd_verify(args) -> int:
     """Re-check every witness; re-derive every closure record from the log's
     other decided records, which closure's rules must yield with its status.
-    Saturation refutations carry no witness, and are counted as unchecked."""
+    Saturation refutations carry no witness, and are counted as unchecked.
+
+    The log is read twice and never held: the first pass checks its format
+    and builds its status map, the second checks each record as it is read."""
     corpus = load_corpus(args.eqs)
-    status_map, records = load_results(args.results, laws=corpus.count)
-    direct = {pair: e for pair, e in status_map.items() if not _is_derived(e.provenance)}
+    status_map, _ = load_results(args.results, laws=corpus.count, keep_records=False)
+    direct = status_map.where(lambda entry: not _is_derived(entry.provenance))
     closed = propagate(direct) if len(direct) < len(status_map) else direct
-    checked = derived = unchecked = 0
-    for record in records:
+    checked = derived = unchecked = total = 0
+    for record in iter_records(args.results, laws=corpus.count):
+        total += 1
         if _is_derived(record.method):
             entry = closed.get((record.lhs, record.rhs))
             problem = None
@@ -190,7 +195,7 @@ def _cmd_verify(args) -> int:
             return 2
     print(
         f"verified {checked} witnesses and {derived} closure records across "
-        f"{len(records)} records; {unchecked} saturation refutations are unchecked"
+        f"{total} records; {unchecked} saturation refutations are unchecked"
     )
     return 0
 

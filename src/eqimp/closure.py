@@ -15,24 +15,34 @@ whole map.  Ids are non-negative ints, and every neighbour set is an int
 bitset (bit i for id i): a row per law of the pairs it is the premise of, a
 column per law of the pairs it is the conclusion of.  A rule applied to a
 popped pair is a mask over one row or column, so pairs already decided cost
-one bitwise and, not an entry each.  A derived pair keeps only its rule's
-shared entry and the law its two premises share, from which a lookup rebuilds
-its premises.  Derived entries never overwrite direct ones; a derivation
+one bitwise and, not an entry each.  A derived pair is one bit in its rule's
+row bitsets and one slot in flat arrays of pair codes, rules and the laws its
+two premises share, from which a lookup rebuilds its premises; no object is
+built per pair.  Derived entries never overwrite direct ones; a derivation
 contradicting an existing status raises ConsistencyError naming the pair and
 both justifications.
-Unsolved pairs are simply absent from the map.
+Unsolved pairs are simply absent from the map.  A results log's statuses
+arrive as a StatusMap, one row bitset per law for each distinct (status,
+method) entry, so neither the input nor the result holds an object per pair.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Mapping
+from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
+from itertools import repeat
 
 PROVEN = "proven"
 REFUTED = "refuted"
 
 Pair = tuple[int, int]
+
+# a status map keeps pairs whose rhs is below this as bits of a row bitset;
+# the rare pair past it gets a dict entry, so a stray huge id in a log cannot
+# make one row's int as large as the id
+ROW_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,17 +56,18 @@ class StatusEntry:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-StatusMap = dict[Pair, StatusEntry]
-
-# each rule's shared entry, and its premises of a pair (x, y) derived via law m
-_R1 = StatusEntry(PROVEN, "closure:R1")
-_R2 = StatusEntry(REFUTED, "closure:R2")
-_R3 = StatusEntry(REFUTED, "closure:R3")
-_PREMISES = {
-    _R1.provenance: lambda x, y, m: ((x, m), (m, y)),
-    _R2.provenance: lambda x, y, m: ((m, x), (m, y)),
-    _R3.provenance: lambda x, y, m: ((y, m), (x, m)),
-}
+# each rule's shared entry, by rule index, and its premises of a pair (x, y)
+# derived via law m
+_RULES = (
+    StatusEntry(PROVEN, "closure:R1"),
+    StatusEntry(REFUTED, "closure:R2"),
+    StatusEntry(REFUTED, "closure:R3"),
+)
+_PREMISES = (
+    lambda x, y, m: ((x, m), (m, y)),
+    lambda x, y, m: ((m, x), (m, y)),
+    lambda x, y, m: ((y, m), (x, m)),
+)
 
 
 class ConsistencyError(ValueError):
@@ -70,116 +81,290 @@ def _describe(entry: StatusEntry) -> str:
     return f"{entry.status} via {entry.provenance} from {first} and {second}"
 
 
-class ClosedMap(Mapping):
-    """propagate's result, read-only: the input's entries, then the derived
-    pairs in derivation order, each built into its full entry on lookup."""
+def _bits(mask: int):
+    """The set bits of a non-negative int, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
-    def __init__(self, entries: dict):
-        self._entries = entries  # pair -> StatusEntry, or (shared, law) if derived
+
+class StatusMap(Mapping):
+    """A read-only map of decided pairs to their StatusEntry, as a results log
+    fills it: one row bitset per law for each distinct (status, provenance)
+    entry, of which a log holds few, so a pair costs one bit, not a dict
+    entry.  Iterates entry by entry, each entry's pairs in (lhs, rhs) order."""
+
+    def __init__(self, rows=(), wide=None):
+        # (status, provenance) -> (its entry, lhs -> bitset of rhs)
+        self._rows: dict[tuple[str, str], tuple[StatusEntry, dict[int, int]]] = dict(rows)
+        self._wide: dict[Pair, StatusEntry] = wide or {}  # pairs whose rhs is past ROW_BITS
+        self._len = len(self._wide) + sum(
+            bits.bit_count() for _, row in self._rows.values() for bits in row.values()
+        )
+
+    def add(self, lhs: int, rhs: int, status: str, provenance: str) -> None:
+        """Put a pair the map does not hold yet (a log's reader checks that)."""
+        shared = self._rows.get((status, provenance))
+        if shared is None:
+            shared = self._rows[(status, provenance)] = (StatusEntry(status, provenance), {})
+        entry, row = shared
+        if rhs < ROW_BITS:
+            row[lhs] = row.get(lhs, 0) | 1 << rhs
+        else:
+            self._wide[(lhs, rhs)] = entry
+        self._len += 1
+
+    def where(self, keep) -> StatusMap:
+        """The pairs whose entry passes keep, sharing this map's rows."""
+        return StatusMap(
+            ((key, shared) for key, shared in self._rows.items() if keep(shared[0])),
+            {pair: entry for pair, entry in self._wide.items() if keep(entry)},
+        )
+
+    def get(self, pair: Pair, default=None):
+        lhs, rhs = pair
+        if 0 <= rhs < ROW_BITS:
+            for entry, row in self._rows.values():
+                if row.get(lhs, 0) >> rhs & 1:
+                    return entry
+            return default
+        return self._wide.get(pair, default)
 
     def __getitem__(self, pair: Pair) -> StatusEntry:
-        entry = self._entries[pair]
-        if type(entry) is tuple:
-            shared, middle = entry
-            rule = shared.provenance
-            entry = StatusEntry(shared.status, rule, _PREMISES[rule](*pair, middle))
+        entry = self.get(pair)
+        if entry is None:
+            raise KeyError(pair)
         return entry
 
     def __contains__(self, pair) -> bool:
-        return pair in self._entries
+        return self.get(pair) is not None
 
     def __iter__(self):
-        return iter(self._entries)
+        for _, row in self._rows.values():
+            for lhs in sorted(row):
+                for rhs in _bits(row[lhs]):
+                    yield lhs, rhs
+        yield from self._wide
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._len
+
+
+class _ClosedItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class ClosedMap(Mapping):
+    """propagate's result, read-only: the input's entries in its order, then
+    the derived pairs in derivation order, each built into its full entry,
+    premises included, on lookup.
+
+    A derived pair is a bit in its rule's row bitsets and one slot of three
+    flat arrays in derivation order: its code lhs * width + rhs (width is one
+    past the input's highest id), its rule, and the law its premises share."""
+
+    def __init__(self, statuses: Mapping[Pair, StatusEntry], width: int):
+        # a StatusMap or ClosedMap cannot change under it; any other map is copied
+        self._input = statuses if isinstance(statuses, (StatusMap, ClosedMap)) else dict(statuses)
+        self._width = width
+        self._codes = array("q")
+        self._rules = bytearray()  # an index into _RULES
+        self._middles = array("q")
+        self._rule_rows: tuple[dict[int, int], ...] = ({}, {}, {})  # per rule: lhs -> bitset
+        self._by_code = None  # (sorted codes, their middles), built by the first lookup
+
+    def _rule(self, pair) -> int | None:
+        lhs, rhs = pair
+        if rhs >= 0:
+            for k, rows in enumerate(self._rule_rows):
+                if rows.get(lhs, 0) >> rhs & 1:
+                    return k
+        return None
+
+    def _entry(self, pair: Pair, k: int, middle: int) -> StatusEntry:
+        shared = _RULES[k]
+        return StatusEntry(shared.status, shared.provenance, _PREMISES[k](*pair, middle))
+
+    def _middle(self, pair: Pair) -> int:
+        codes = self._codes
+        if self._by_code is None or len(self._by_code[0]) != len(codes):
+            order = sorted(range(len(codes)), key=codes.__getitem__)
+            self._by_code = (
+                array("q", (codes[i] for i in order)),
+                array("q", (self._middles[i] for i in order)),
+            )
+        ordered, middles = self._by_code
+        return middles[bisect_left(ordered, pair[0] * self._width + pair[1])]
+
+    def get(self, pair: Pair, default=None):
+        entry = self._input.get(pair)
+        if entry is not None:
+            return entry
+        k = self._rule(pair)
+        return default if k is None else self._entry(pair, k, self._middle(pair))
+
+    def __getitem__(self, pair: Pair) -> StatusEntry:
+        entry = self.get(pair)
+        if entry is None:
+            raise KeyError(pair)
+        return entry
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._input or self._rule(pair) is not None
+
+    def derives(self, pair: Pair) -> bool:
+        """Whether pair is one of the derived pairs, not one of the input's."""
+        return self._rule(pair) is not None
+
+    def __iter__(self):
+        yield from self._input
+        width = self._width
+        for code in self._codes:
+            yield divmod(code, width)
+
+    def __len__(self) -> int:
+        return len(self._input) + len(self._codes)
+
+    def items(self):
+        return _ClosedItems(self)
+
+    def _items(self):
+        yield from self._input.items()
+        width = self._width
+        for code, k, middle in zip(self._codes, self._rules, self._middles):
+            pair = divmod(code, width)
+            yield pair, self._entry(pair, k, middle)
 
     def derived(self):
-        """Each derived pair and its rule's shared entry (no premises), in derivation order."""
-        return ((pair, e[0]) for pair, e in self._entries.items() if type(e) is tuple)
+        """Each derived pair and its rule's shared entry (no premises), in
+        (lhs, rhs) order, walked from the rules' row bitsets."""
+        first, second, third = self._rule_rows
+        for lhs in sorted(first.keys() | second.keys() | third.keys()):
+            r1, r2 = first.get(lhs, 0), second.get(lhs, 0)
+            for rhs in _bits(r1 | r2 | third.get(lhs, 0)):
+                k = 0 if r1 >> rhs & 1 else 1 if r2 >> rhs & 1 else 2
+                yield (lhs, rhs), _RULES[k]
 
 
 def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
     """Least fixpoint of R1-R3 over the input map; the input is not mutated.
 
     Ids are non-negative ints.  The worklist pops each decided pair once, the
-    input's in sorted order first.  Each rule combines the popped pair with a
-    bitset row or column of its popped neighbours into a mask of candidate
-    pairs.  Candidates already decided the same way are skipped; the fresh
-    ones are added in ascending id order, as a loop over the sorted
-    neighbours would add them, so the result (a ClosedMap, which is valid
-    input too), including derived entries' premises and key order, depends
-    only on the map's contents, not on its insertion order.  A candidate
-    decided the other way raises ConsistencyError for the lowest such pair,
-    the first one a loop over the sorted neighbours would meet."""
-    entries = dict(statuses)
-    result = ClosedMap(entries)
+    input's in sorted order first, then the derived ones in the order they
+    were derived.  Each rule combines the popped pair with a bitset row or
+    column of its popped neighbours into a mask of candidate pairs.
+    Candidates already decided the same way are skipped; the fresh ones are
+    added in ascending id order, as a loop over the sorted neighbours would
+    add them, so the result (a ClosedMap, which is valid input too), including
+    derived entries' premises and key order, depends only on the map's
+    contents, not on its insertion order.  A candidate decided the other way
+    raises ConsistencyError for the lowest such pair, the first one a loop
+    over the sorted neighbours would meet."""
+    # the input's pairs, per status, by row: a StatusMap hands over its rows
+    given: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
+    pending = statuses.items()
+    if isinstance(statuses, StatusMap):
+        for entry, entry_rows in statuses._rows.values():
+            row = given[entry.status]
+            for a, bits in entry_rows.items():
+                row[a] = row.get(a, 0) | bits
+        pending = statuses._wide.items()
+    for (a, b), entry in pending:
+        row = given[entry.status]
+        row[a] = row.get(a, 0) | 1 << b
+    # the pairs decided in result, per status, by row and by column
+    rows = {status: dict(row) for status, row in given.items()}
+    cols: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
+    for status, row in given.items():
+        col = cols[status]
+        for a, bits in row.items():
+            bit = 1 << a
+            for b in _bits(bits):
+                col[b] = col.get(b, 0) | bit
+    width = 1 + max(
+        (max(a, bits.bit_length() - 1) for row in given.values() for a, bits in row.items()),
+        default=0,
+    )
+    result = ClosedMap(statuses, width)
+    codes, rules, middles, rule_rows = (
+        result._codes, result._rules, result._middles, result._rule_rows
+    )
     # the popped pairs: proven_out[a] has bit b for each popped (a,b) proven,
     # proven_in[b] has bit a, and likewise for the refuted ones
     proven_out: dict[int, int] = {}
     proven_in: dict[int, int] = {}
     refuted_out: dict[int, int] = {}
     refuted_in: dict[int, int] = {}
-    # the pairs decided in result, per status, by row and by column
-    rows: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
-    cols: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
 
-    for (a, b), entry in entries.items():
-        row, col = rows[entry.status], cols[entry.status]
-        row[a] = row.get(a, 0) | 1 << b
-        col[b] = col.get(b, 0) | 1 << a
-    queue: deque[tuple[Pair, str]] = deque()
-    for pair in sorted(entries):
-        queue.append((pair, entries[pair].status))
-
-    def derive(mask: int, fixed: int, in_row: bool, shared: StatusEntry, middle: int):
-        """Derive shared's status by its rule for (fixed, v) if in_row, else
-        (v, fixed), for each bit v of mask, from premises sharing law middle."""
+    def derive(mask: int, fixed: int, in_row: bool, k: int, middle: int):
+        """Derive rule k's status for (fixed, v) if in_row, else (v, fixed),
+        for each bit v of mask, from premises sharing law middle."""
         # reflexive facts are trivial and never recorded
         mask &= ~(1 << fixed)
         if not mask:
             return
-        status = shared.status
+        status = _RULES[k].status
         lines = rows if in_row else cols
-        same = lines[status].get(fixed, 0)
-        other = lines[REFUTED if status == PROVEN else PROVEN].get(fixed, 0)
-        clash = mask & other
+        clash = mask & lines[REFUTED if status == PROVEN else PROVEN].get(fixed, 0)
         if clash:
             first = (clash & -clash).bit_length() - 1
             pair = (fixed, first) if in_row else (first, fixed)
             raise ConsistencyError(
                 f"pair {pair} is {_describe(result[pair])} but also derives as "
-                f"{_describe(ClosedMap({pair: (shared, middle)})[pair])}"
+                f"{_describe(result._entry(pair, k, middle))}"
             )
-        fresh = mask & ~same
-        value = shared, middle  # one for all the pairs this call derives
-        row, col = rows[status], cols[status]
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            v = low.bit_length() - 1
-            a, b = pair = (fixed, v) if in_row else (v, fixed)
-            entries[pair] = value
-            row[a] = row.get(a, 0) | 1 << b
-            col[b] = col.get(b, 0) | 1 << a
-            queue.append((pair, status))
+        fresh = mask & ~lines[status].get(fixed, 0)
+        if not fresh:
+            return
+        row, col, rule_row = rows[status], cols[status], rule_rows[k]
+        bit = 1 << fixed
+        if in_row:
+            row[fixed] = row.get(fixed, 0) | fresh
+            rule_row[fixed] = rule_row.get(fixed, 0) | fresh
+            base = fixed * width
+            for v in _bits(fresh):
+                col[v] = col.get(v, 0) | bit
+                codes.append(base + v)
+        else:
+            col[fixed] = col.get(fixed, 0) | fresh
+            for v in _bits(fresh):
+                row[v] = row.get(v, 0) | bit
+                rule_row[v] = rule_row.get(v, 0) | bit
+                codes.append(v * width + fixed)
+        count = fresh.bit_count()
+        rules.extend(repeat(k, count))
+        middles.extend(repeat(middle, count))
 
-    while queue:
-        (a, b), status = queue.popleft()
-        if status == PROVEN:
+    def pop(a: int, b: int, proven: bool):
+        if proven:
             proven_out[a] = proven_out.get(a, 0) | 1 << b
             proven_in[b] = proven_in.get(b, 0) | 1 << a
             # R1, with (a,b) as either premise
-            derive(proven_out.get(b, 0), a, True, _R1, b)
-            derive(proven_in.get(a, 0), b, False, _R1, a)
+            derive(proven_out.get(b, 0), a, True, 0, b)
+            derive(proven_in.get(a, 0), b, False, 0, a)
             # R2: (a,b) proven, (a,c) refuted  =>  (b,c) refuted
-            derive(refuted_out.get(a, 0), b, True, _R2, a)
+            derive(refuted_out.get(a, 0), b, True, 1, a)
             # R3: (a,b) proven, (z,b) refuted  =>  (z,a) refuted
-            derive(refuted_in.get(b, 0), a, False, _R3, b)
+            derive(refuted_in.get(b, 0), a, False, 2, b)
         else:
             refuted_out[a] = refuted_out.get(a, 0) | 1 << b
             refuted_in[b] = refuted_in.get(b, 0) | 1 << a
             # here (a,b) is the refuted premise A-/->C with A=a, C=b
-            derive(proven_out.get(a, 0), b, False, _R2, a)
-            derive(proven_in.get(b, 0), a, True, _R3, b)
+            derive(proven_out.get(a, 0), b, False, 1, a)
+            derive(proven_in.get(b, 0), a, True, 2, b)
+
+    # the worklist: the input's pairs in sorted order, then each derived pair
+    # in the order it was derived, which is the order of the arrays
+    proven_rows, refuted_rows = given[PROVEN], given[REFUTED]
+    for a in sorted(proven_rows.keys() | refuted_rows.keys()):
+        proven = proven_rows.get(a, 0)
+        for b in _bits(proven | refuted_rows.get(a, 0)):
+            pop(a, b, bool(proven >> b & 1))
+    index = 0
+    while index < len(codes):
+        a, b = divmod(codes[index], width)
+        pop(a, b, rules[index] == 0)
+        index += 1
     return result

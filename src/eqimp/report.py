@@ -2,8 +2,9 @@
 histogram.
 
 Both summaries count decided records only (proven or refuted); unsolved
-records carry no method attribution and no meaningful solve time.  Rendering
-is a pure function of the input: same records, same bytes.
+records carry no method attribution and no meaningful solve time.  Each reads
+its records once, from any iterable, so a log can be folded in as it is read.
+Rendering is a pure function of the input: same records, same bytes.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Histogram:
 
 
 def _decided(records):
-    return [r for r in records if r.status in (PROVEN, REFUTED)]
+    return (r for r in records if r.status in (PROVEN, REFUTED))
 
 
 def summarize(records, method_order=None) -> SummaryTable:

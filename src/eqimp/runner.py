@@ -43,12 +43,13 @@ import math
 import os
 import re
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 
 from .budget import Budget
-from .closure import PROVEN, REFUTED, StatusEntry, StatusMap, propagate
+from .closure import PROVEN, REFUTED, ROW_BITS, StatusMap, propagate
 from .models import FOUND, find_countermodels, format_countermodel
 from .models import find_countermodel  # noqa: F401 - the benchmark's traced pass wraps it here
 from .saturation import PROVED, SATURATED, format_proof, saturate, saturate_many
@@ -535,25 +536,38 @@ def _attempt(task: tuple[int, tuple[int, ...]]) -> list[ResultRecord]:
     return attempt_premise(corpus, task[0], task[1], schedule)
 
 
-def load_results(
+def iter_records(
     path: str, drop_torn_tail: bool = False, laws: int | None = None
-) -> tuple[StatusMap, list[ResultRecord]]:
-    """Reconstruct records from a log; duplicate pairs and malformed lines are
-    format errors naming the line.  A line as _record_line writes it is read
-    by one pattern, any other by json.loads; both give the same record.  The
-    status map carries decided pairs only, keyed for closure.propagate.  With
+) -> Iterator[ResultRecord]:
+    """The log's records, read one line at a time; duplicate pairs and
+    malformed lines are format errors naming the line, raised when the
+    reader reaches it.  A line as _record_line writes it is read by one
+    pattern, any other by json.loads; both give the same record.  With
     drop_torn_tail, an unparsable final line without its newline (a write cut
     short by a killed run) is skipped.  With laws, the size of the corpus the
     log should belong to, a record naming a higher id is an error too."""
-    records = []
-    append = records.append
-    # each pair's first line: setdefault returns an earlier one for a duplicate
-    seen: dict[tuple[int, int], int] = {}
-    first_line = seen.setdefault
-    status_map: StatusMap = {}
-    # one shared entry per (status, method): a log holds few distinct ones
-    entries: dict[tuple[str, str], StatusEntry] = {}
-    # and one shared copy of each status and method string
+    return _scan(path, drop_torn_tail, laws, None)
+
+
+# what the second pass of propagate_log does with each line, as its first
+# pass notes them: skip it (blank), copy it (a decided record's line exactly
+# as _record_line writes it), render its record again (any other decided
+# record), or render it again unless closure derives its pair (unsolved)
+_BLANK, _SAME, _OTHER, _UNSOLVED = range(4)
+# the start of a line whose keys come in _RECORD_KEYS order
+_PAIR = re.compile(r'\{"lhs": ([0-9]+), "rhs": ([0-9]+),')
+
+
+def _scan(
+    path: str, drop_torn_tail: bool, laws: int | None, forms: bytearray | None
+) -> Iterator[ResultRecord]:
+    """iter_records' generator; with forms it also appends one of _BLANK,
+    _SAME, _OTHER or _UNSOLVED per line read."""
+    # the pairs read so far: one int bitset of rhs ids per lhs, and a set for
+    # the rare pair whose rhs is too large for a bitset
+    seen: dict[int, int] = {}
+    wide: set[tuple[int, int]] = set()
+    # one shared copy of each status and method string
     strings: dict[str | None, str | None] = {}
     share = strings.setdefault
     canonical_fields, record_type = _canonical_fields, ResultRecord
@@ -563,6 +577,8 @@ def load_results(
             if fields is None:
                 line = raw.strip()
                 if not line:
+                    if forms is not None:
+                        forms.append(_BLANK)
                     continue
                 # json.loads raises a JSONDecodeError, _unique_keys a
                 # ValueError, int conversion a ValueError past its digit limit,
@@ -583,26 +599,81 @@ def load_results(
                     )
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
-            pair = (record.lhs, record.rhs)
-            if laws is not None and max(pair) > laws:
+            lhs, rhs = record.lhs, record.rhs
+            if laws is not None and max(lhs, rhs) > laws:
                 raise ValueError(
-                    f"{path}:{lineno}: pair {pair} names law {max(pair)}, "
+                    f"{path}:{lineno}: pair {(lhs, rhs)} names law {max(lhs, rhs)}, "
                     f"but the corpus has {laws} laws"
                 )
-            first = first_line(pair, lineno)
-            if first != lineno:
+            if rhs < ROW_BITS:
+                row = seen.get(lhs, 0)
+                repeated = row >> rhs & 1
+                seen[lhs] = row | 1 << rhs
+            else:
+                repeated = (lhs, rhs) in wide
+                wide.add((lhs, rhs))
+            if repeated:
                 raise ValueError(
-                    f"{path}:{lineno}: duplicate record for pair {pair} "
-                    f"(first at line {first})"
+                    f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
+                    f"(first at line {_first_line(path, (lhs, rhs))})"
                 )
-            append(record)
-            if record.status != UNSOLVED:
-                key = (record.status, record.method)
-                entry = entries.get(key)
-                if entry is None:
-                    entry = entries[key] = StatusEntry(*key)
-                status_map[pair] = entry
-    return status_map, records
+            if forms is not None:
+                if record.status == UNSOLVED:
+                    forms.append(_UNSOLVED)
+                else:
+                    forms.append(_SAME if raw == _record_line(record) else _OTHER)
+            yield record
+
+
+def _record_of(line: str) -> ResultRecord:
+    """The record of a line that iter_records has read."""
+    fields = _canonical_fields(line)
+    if fields is None:
+        return _record_from_dict(json.loads(line, object_pairs_hook=_unique_keys))
+    return ResultRecord(*fields)
+
+
+def _pair_of(line: str) -> tuple[int, int]:
+    """The pair of a line that iter_records has read."""
+    match = _PAIR.match(line)
+    if match is None:
+        record = _record_of(line)
+        return record.lhs, record.rhs
+    return int(match[1]), int(match[2])
+
+
+def _first_line(path: str, pair: tuple[int, int]) -> int | None:
+    """The number of the first line holding pair's record."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            if not raw.isspace() and _pair_of(raw) == pair:
+                return lineno
+    return None
+
+
+def _status_map(records) -> StatusMap:
+    """The decided records' statuses, keyed for closure.propagate."""
+    status_map = StatusMap()
+    add = status_map.add
+    for record in records:
+        if record.status != UNSOLVED:
+            add(record.lhs, record.rhs, record.status, record.method)
+    return status_map
+
+
+def load_results(
+    path: str, drop_torn_tail: bool = False, laws: int | None = None, keep_records: bool = True
+) -> tuple[StatusMap, list[ResultRecord]]:
+    """The log read through iter_records, with its checks: its status map,
+    which carries decided pairs only, keyed for closure.propagate, and its
+    records in line order (an empty list without keep_records).  The status
+    map is a closure.StatusMap, one row bitset per law for each distinct
+    (status, method), so it holds no dict entry per pair."""
+    records = iter_records(path, drop_torn_tail, laws)
+    if not keep_records:
+        return _status_map(records), []
+    records = list(records)
+    return _status_map(records), records
 
 
 def propagate_log(path: str) -> int:
@@ -610,20 +681,39 @@ def propagate_log(path: str) -> int:
     records (method closure:R1|R2|R3, stage 0, no witness); returns how many
     new pairs were decided.  A pair that was unsolved directly but is decided
     by closure gets its unsolved record replaced.  A log closure adds nothing
-    to is not rewritten.  Derived records differ only in their pair and rule,
-    so each derived line is its pair followed by the rest of one line that
-    _record_line renders per rule."""
-    status_map, records = load_results(path)
+    to is not rewritten.
+
+    The log is read twice and never held.  The first pass builds the status
+    map and notes, per line, whether it is blank, unsolved, or decided and
+    exactly _record_line of its record.  The second streams the kept lines to
+    the rewrite: a decided line noted so as it stands, any other rendered by
+    _record_line (a line can match the canonical pattern and still differ
+    from it, as seconds 0.50 or a witness escaping "/" do).  Derived records
+    differ only in their pair and rule, so each derived line is its pair
+    followed by the rest of one line that _record_line renders per rule, in
+    (lhs, rhs) order as the closed map's rule bitsets give them."""
+    forms = bytearray()
+    status_map = _status_map(_scan(path, False, None, forms))
     closed = propagate(status_map)
     added = len(closed) - len(status_map)
     if not added:
         return 0  # leave the log, its inode and its mtime as they are
-    # an unsolved pair is absent from status_map, so in closed only if derived
-    kept = (r for r in records if r.status != UNSOLVED or (r.lhs, r.rhs) not in closed)
+
+    # an unsolved pair is absent from status_map, so closure decides it only
+    # by deriving it
+    def kept_lines():
+        with open(path, encoding="utf-8") as handle:
+            for raw, form in zip(handle, forms):
+                if form == _SAME:
+                    yield raw
+                elif form == _OTHER:
+                    yield _record_line(_record_of(raw))
+                elif form == _UNSOLVED and not closed.derives(_pair_of(raw)):
+                    yield _record_line(_record_of(raw))
 
     def closure_lines():
         tails: dict[str, str] = {}  # by rule, which fixes the status
-        for (lhs, rhs), entry in sorted(closed.derived()):
+        for (lhs, rhs), entry in closed.derived():
             rule = entry.provenance
             tail = tails.get(rule)
             if tail is None:
@@ -631,5 +721,5 @@ def propagate_log(path: str) -> int:
                 tail = tails[rule] = line.partition('"rhs": 2')[2]
             yield f'{{"lhs": {lhs}, "rhs": {rhs}{tail}'
 
-    _write_log(path, itertools.chain(map(_record_line, kept), closure_lines()))
+    _write_log(path, itertools.chain(kept_lines(), closure_lines()))
     return added

@@ -507,6 +507,11 @@ def test_verify_tampered_countermodel_exits_2_naming_pair(tmp_path, capsys):
     assert main(["verify", "--eqs", eqs, "--results", log]) == 2
     err = capsys.readouterr().err
     assert "pair (1, 2)" in err and "premise" in err
+    # a format error anywhere in the log is reported before any witness is checked
+    with open(log, "a") as handle:
+        handle.write("{}\n")
+    assert main(["verify", "--eqs", eqs, "--results", log]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {log}:3: record keys must be exactly")
 
 
 def test_verify_tampered_proof_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ of all multiplication tables up to size 3.
 import collections
 import copy
 import dataclasses
+import importlib.util
 import itertools
 import json
 import os
@@ -18,12 +19,14 @@ import random
 import re
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
 from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
 from eqimp import closure, runner, saturation
+from eqimp.cli import main
 from eqimp.closure import PROVEN, REFUTED, StatusEntry, propagate
 from eqimp.models import (
     FOUND,
@@ -47,6 +50,7 @@ from eqimp.runner import (
     attempt_pair,
     attempt_premise,
     default_schedule,
+    iter_records,
     load_results,
     load_schedule,
     parse_schedule,
@@ -65,6 +69,7 @@ from eqimp.terms import enumerate_pairs, load_corpus
 from eqimp.tptp import skolemize
 
 DATA = pathlib.Path(__file__).parent / "data"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def _corpus(tmp_path, lines, name="mini.eqs"):
@@ -868,6 +873,171 @@ def test_load_results_rejects_duplicates_and_bad_keys(tmp_path):
         out.write_text(good + json.dumps({**payload, **change}) + "\n")
         with pytest.raises(ValueError, match=f"out.jsonl:2: .*{message}"):
             load_results(str(out))
+
+
+def _malformed_logs():
+    """(name, log text, laws) for each log load_results' tests above read: the
+    blank lines it skips and each kind of format error it raises."""
+    payload = {"lhs": 1, "rhs": 2, "status": "proven", "method": "m", "stage": 1,
+               "seconds": 0.1, "witness": "p"}
+    line = lambda **change: json.dumps({**payload, **change}) + "\n"
+    reordered = json.dumps(dict(reversed(list({**payload, "lhs": 3, "rhs": 4}.items())))) + "\n"
+    no_witness = json.dumps({key: payload[key] for key in payload if key != "witness"}) + "\n"
+    good = line()
+    return [
+        ("blank-lines", good + "\n \n" + line(lhs=3, rhs=4) + "\n", None),
+        ("truncated", good + good[: len(good) // 2] + "\n", None),
+        # the first record of the pair sits past a blank line, in another form
+        ("duplicate", good + "\n" + reordered + line(lhs=4, rhs=3) + line(lhs=3, rhs=4), None),
+        ("duplicate-past-a-bitset", line(rhs=70_000) + good + line(rhs=70_000), None),
+        ("bad-keys", good + no_witness, None),
+        ("not-an-object", good + "[1, 2, 3]\n", None),
+        ("bad-field", good + line(lhs="a"), None),
+        ("laws", good + line(lhs=3, rhs=9), 8),
+        ("torn-tail", good + line(lhs=3, rhs=4)[:-9], None),
+    ]
+
+
+def _read(read):
+    """read()'s records with their seconds' types, or its ValueError's text."""
+    try:
+        return [(record, type(record.seconds)) for record in read()]
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "name, text, laws", _malformed_logs(), ids=[case[0] for case in _malformed_logs()]
+)
+def test_streamed_readers_raise_what_load_results_raises(tmp_path, capsys, name, text, laws):
+    out = tmp_path / "out.jsonl"
+    out.write_text(text)
+    path = str(out)
+    for torn in (False, True):
+        expected = _read(lambda: load_results(path, drop_torn_tail=torn, laws=laws)[1])
+        assert _read(lambda: iter_records(path, drop_torn_tail=torn, laws=laws)) == expected
+    # with drop_torn_tail, the torn tail reads too
+    assert (type(expected) is list) == (name in ("blank-lines", "torn-tail"))
+    expected = _read(lambda: load_results(path, laws=laws)[1])
+    if name == "duplicate":
+        assert expected.endswith("duplicate record for pair (3, 4) (first at line 3)")
+    if laws is not None:
+        # only verify, which reads the corpus, checks the bound
+        eqs = tmp_path / "eight.eqs"
+        eqs.write_text("x = x\n" * laws)
+        commands = [["verify", "--eqs", str(eqs), "--results", path]]
+    else:
+        commands = [["report", "--results", path], ["closure", "--results", path]]
+    for argv in commands:
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        if type(expected) is list:
+            assert code == 0 and err == ""
+        else:
+            assert (code, err) == (1, f"error: {expected}\n")
+            assert out.read_text() == text
+
+
+def test_closure_renders_each_kept_line_as_the_writer_does(tmp_path):
+    # lines that read as records but are not in _record_line's form: closure
+    # must write each kept one as _record_line renders its record, as it
+    # writes every other line, never copy it as it stands
+    row = lambda lhs, rhs, status, method=None, stage=None, seconds="0.25", witness="null": (
+        f'{{"lhs": {lhs}, "rhs": {rhs}, "status": "{status}", '
+        f'"method": {"null" if method is None else json.dumps(method)}, '
+        f'"stage": {"null" if stage is None else stage}, "seconds": {seconds}, "witness": {witness}}}'
+    )
+    # a hidden preorder: law i implies law j when j's features are a subset
+    # of i's, with features 1 {a}, 2 {}, 3 {b} and 4 {a, b}
+    lines = [
+        row(1, 2, PROVEN, "satur-500i", 2, seconds="0.50", witness='"p"'),
+        row(1, 3, REFUTED, "fmb-500i", "-0"),
+        row(4, 1, PROVEN, "satur-500i", 2, witness='"a\\/b"'),
+        row(4, 2, UNSOLVED, seconds="1.0e+1"),
+        row(4, 3, UNSOLVED, witness='"a\\/b caf\\u00E9"'),
+        row(1, 4, UNSOLVED, witness='"café"'),
+        json.dumps({"witness": "q", "seconds": 0.5, "stage": 2, "method": "satur-500i",
+                    "status": PROVEN, "rhs": 2, "lhs": 3}),
+        json.dumps({"witness": None, "seconds": 0.5, "stage": None, "method": None,
+                    "status": UNSOLVED, "rhs": 3, "lhs": 2}),
+        row(2, 1, UNSOLVED, seconds="1.0e+1"),
+        row(3, 4, REFUTED, "fmb-500i", 1),  # the final line, without its newline
+    ]
+    out = tmp_path / "out.jsonl"
+    out.write_text("\n".join(lines), encoding="utf-8")
+    status_map, records = load_results(str(out))
+    closed = propagate(status_map)
+    kept = [r for r in records if r.status != UNSOLVED or (r.lhs, r.rhs) not in closed]
+    derived = [pair for pair in closed if pair not in status_map]
+    # (4, 2) and (2, 3) are derived, so their unsolved lines go; (2, 4) is new
+    assert sorted(derived) == [(2, 3), (2, 4), (4, 2)] and len(kept) == 8
+
+    assert propagate_log(str(out)) == len(derived)
+    written = out.read_text(encoding="ascii").splitlines(keepends=True)
+    assert written[: len(kept)] == [runner._record_line(record) for record in kept]
+    assert not {line + "\n" for line in lines[:-1]} & set(written)  # not one was copied
+    _, again = load_results(str(out))
+    assert written == [runner._record_line(record) for record in again]
+
+
+def test_pairs_past_the_bitset_width_load_and_close(tmp_path):
+    # a law id past closure.ROW_BITS keeps its pairs out of the row bitsets
+    wide = closure.ROW_BITS + 4
+    rows = [
+        {"lhs": 1, "rhs": 2, "status": PROVEN, "method": "satur-500i", "stage": 2,
+         "seconds": 0.5, "witness": "p"},
+        {"lhs": 2, "rhs": wide, "status": PROVEN, "method": "satur-500i", "stage": 2,
+         "seconds": 0.5, "witness": "q"},
+        {"lhs": 1, "rhs": wide + 1, "status": REFUTED, "method": "fmb-500i", "stage": 1,
+         "seconds": 0.5, "witness": "cm"},
+        {"lhs": 3, "rhs": 1, "status": UNSOLVED, "method": None, "stage": None,
+         "seconds": 0.5, "witness": None},
+    ]
+    out = tmp_path / "out.jsonl"
+    _write_log(out, rows)
+    status_map, _ = load_results(str(out))
+    assert dict(status_map.items()) == {
+        (1, 2): StatusEntry(PROVEN, "satur-500i"),
+        (2, wide): StatusEntry(PROVEN, "satur-500i"),
+        (1, wide + 1): StatusEntry(REFUTED, "fmb-500i"),
+    }
+    assert (3, 1) not in status_map and (wide, 2) not in status_map
+    assert dict(status_map.where(lambda entry: entry.status == REFUTED).items()) == {
+        (1, wide + 1): StatusEntry(REFUTED, "fmb-500i")
+    }
+    # R1 derives (1, wide), then R2 (2, wide + 1) and (wide, wide + 1)
+    assert propagate_log(str(out)) == 3
+    _, records = load_results(str(out))
+    assert [(r.lhs, r.rhs, r.method) for r in records[-3:]] == [
+        (1, wide, "closure:R1"), (2, wide + 1, "closure:R2"), (wide, wide + 1, "closure:R2")
+    ]
+
+
+def test_closure_and_report_hold_no_record_per_line(tmp_path, capsys):
+    # the hidden preorder log of the benchmark's campaign workload, over 100
+    # laws: loading it holds every record, closure and report stream it
+    spec = importlib.util.spec_from_file_location("perfbench_laws", PERFBENCH / "laws.py")
+    laws = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(laws)
+    rng = random.Random(1)
+    log = str(tmp_path / "campaign.jsonl")
+    laws.write_campaign_log(log, rng, laws.campaign_truth(rng, 100, 10, 0.5), 0.3)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    loaded = peak(lambda: load_results(log))
+    closing = peak(lambda: propagate_log(log))
+    main(["report", "--results", log])  # the parser's first-use caches are no record's
+    reporting = peak(lambda: main(["report", "--results", log]))
+    assert "closure:R1" in capsys.readouterr().out
+    assert closing < loaded / 4 and reporting < loaded / 4, (loaded, closing, reporting)
 
 
 # json.dumps writes the log, so json is the oracle: witnesses with every kind
