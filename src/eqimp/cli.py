@@ -18,7 +18,7 @@ from .runner import (
     UNSOLVED,
     RunConfig,
     default_schedule,
-    iter_records,
+    iter_rows,
     load_results,
     load_schedule,
     propagate_log,
@@ -119,7 +119,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = iter_records(args.results)  # folded into the counts as it is read
+    records = iter_rows(args.results)  # folded into the counts as it is read
     shaped = histogram(records) if args.histogram else summarize(records)
     sys.stdout.write(render(shaped, args.format))
     return 0
@@ -178,7 +178,7 @@ def _cmd_verify(args) -> int:
     direct = status_map.where(lambda entry: not _is_derived(entry.provenance))
     closed = propagate(direct) if len(direct) < len(status_map) else direct
     checked = derived = unchecked = total = 0
-    for record in iter_records(args.results, laws=corpus.count):
+    for record in iter_rows(args.results, laws=corpus.count):
         total += 1
         if _is_derived(record.method):
             entry = closed.get((record.lhs, record.rhs))

@@ -43,6 +43,7 @@ import math
 import os
 import re
 import time
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.decoder import scanstring
@@ -206,9 +207,12 @@ class RunConfig:
 
 _RECORD_KEYS = ("lhs", "rhs", "status", "method", "stage", "seconds", "witness")
 _KEY_SET = frozenset(_RECORD_KEYS)
+# a record's fields as the log reader yields them, with every check of
+# ResultRecord made; a tuple costs a fraction of a ResultRecord to build
+Row = namedtuple("Row", _RECORD_KEYS)
 
 
-def _record_line(record: ResultRecord) -> str:
+def _record_line(record: ResultRecord | Row) -> str:
     """The record as json.dumps(vars(record)) writes it, keys in _RECORD_KEYS
     order: strings escaped to ASCII by json's own encoder, numbers as repr
     prints them (ResultRecord admits no bool, NaN or infinity)."""
@@ -223,44 +227,59 @@ def _record_line(record: ResultRecord) -> str:
     )
 
 
-# The start of a line as _record_line writes it, up to the witness: its keys
-# and separators, ints as JSON writes them, seconds with a point or an
-# exponent as float's repr prints it (json.loads reads an integral seconds as
-# an int, so that line is left to it), and status and method made only of
-# characters JSON prints unescaped.  A witness, last and long, is left to
-# json's string scanner after its opening quote.
-_INT = r"-?(?:0|[1-9][0-9]*)"
+# A whole line as _record_line writes it, admitting only what ResultRecord
+# admits but for three checks _row makes: lhs differs from rhs, a decided
+# record has a method and a stage, and seconds is finite.  Ids and stage are
+# JSON ints without a sign, status one of the three, method made only of
+# characters JSON prints unescaped, seconds with a point or an exponent as
+# float's repr prints it (json.loads reads an integral seconds as an int, so
+# that line is left to it).  The line ends at a null witness; a witness
+# string, last and long, is left to json's string scanner after its opening
+# quote.
+_ID = r"[1-9][0-9]*"
 _PLAIN = r"[ !#-\[\]-~]*"
-_CANONICAL = re.compile(
-    rf'\{{"lhs": ({_INT}), "rhs": ({_INT}), "status": "({_PLAIN})", '
-    rf'"method": (?:null|"({_PLAIN})"), "stage": (null|{_INT}), '
-    rf'"seconds": ({_INT}(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)), "witness": (?:(null)|")'
+_ROW = re.compile(
+    rf'\{{"lhs": ({_ID}), "rhs": ({_ID}), "status": "(proven|refuted|unsolved)", '
+    rf'"method": (?:null|"({_PLAIN})"), "stage": (null|0|{_ID}), '
+    rf'"seconds": ((?:0|{_ID})(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)), '
+    r'"witness": (?:(null\}\n?)\Z|")'
 )
 
 
-def _canonical_fields(line: str) -> tuple | None:
-    """The field values of a line in _record_line's form, as json.loads reads
-    them, in _RECORD_KEYS order; None for any other line, and for one whose
-    numbers or witness do not convert, so that json.loads reports it."""
-    match = _CANONICAL.match(line)
-    if match is None:
-        return None
+class _Ints(dict):
+    """The value of each id or stage text of the lines read (None for a null
+    stage), converted once: a log names each law on many lines."""
+
+    def __init__(self):
+        super().__init__(null=None)
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
+def _row(line: str, match: re.Match, ints: _Ints) -> Row | None:
+    """The row of a line _ROW matches, as json.loads and ResultRecord read it.
+    None when its numbers or witness do not convert (a digit count past int's
+    limit, a bad escape) or the line goes on past its witness, so that
+    json.loads reports it; a record ResultRecord rejects raises its error."""
     lhs, rhs, status, method, stage, seconds, null = match.groups()
     try:
-        witness, end = (None, match.end()) if null else scanstring(line, match.end())
-        if line[end:] not in ("}\n", "}"):
-            return None
-        return (
-            int(lhs),
-            int(rhs),
-            status,
-            method,
-            None if stage == "null" else int(stage),
-            float(seconds),
-            witness,
+        if null is None:
+            witness, end = scanstring(line, match.end())
+            if line[end:] not in ("}\n", "}"):
+                return None
+        else:
+            witness = None
+        # Row(...) would go through namedtuple's __new__, written in Python
+        row = tuple.__new__(
+            Row, (ints[lhs], ints[rhs], status, method, ints[stage], float(seconds), witness)
         )
-    except ValueError:  # a digit count past int's limit, or a bad escape
+    except ValueError:
         return None
+    if lhs == rhs or row[5] == math.inf or status != UNSOLVED and (method is None or stage == "null"):
+        ResultRecord(*row)  # raises with the message of the check it fails
+    return row
 
 
 def _write_log(path: str, lines) -> None:
@@ -298,12 +317,13 @@ def _unique_keys(pairs: list) -> dict:
     return payload
 
 
-def _record_from_dict(payload) -> ResultRecord:
+def _row_from_dict(payload) -> Row:
     if not isinstance(payload, dict):
         raise ValueError("record must be an object")
     if payload.keys() != _KEY_SET:
         raise ValueError(f"record keys must be exactly {_RECORD_KEYS}")
-    return ResultRecord(**payload)
+    ResultRecord(**payload)  # its checks, with their messages
+    return Row(**payload)
 
 
 def attempt_pair(corpus: Corpus, lhs: int, rhs: int, schedule: Schedule) -> ResultRecord:
@@ -546,91 +566,130 @@ def iter_records(
     drop_torn_tail, an unparsable final line without its newline (a write cut
     short by a killed run) is skipped.  With laws, the size of the corpus the
     log should belong to, a record naming a higher id is an error too."""
+    # one shared copy of each status and method string
+    strings: dict[str | None, str | None] = {}
+    share = strings.setdefault
+    record = ResultRecord
+    for lhs, rhs, status, method, stage, seconds, witness in iter_rows(path, drop_torn_tail, laws):
+        yield record(lhs, rhs, share(status, status), share(method, method), stage, seconds, witness)
+
+
+def iter_rows(
+    path: str, drop_torn_tail: bool = False, laws: int | None = None
+) -> Iterator[Row]:
+    """iter_records' records as Rows, with the same checks and errors: a
+    caller that folds each record as it is read builds no ResultRecord."""
     return _scan(path, drop_torn_tail, laws, None)
 
 
 # what the second pass of propagate_log does with each line, as its first
-# pass notes them: skip it (blank), copy it (a decided record's line exactly
-# as _record_line writes it), render its record again (any other decided
-# record), or render it again unless closure derives its pair (unsolved)
-_BLANK, _SAME, _OTHER, _UNSOLVED = range(4)
+# pass notes them in flags: skip it (_BLANK), drop it when closure derives its
+# pair (_UNSOLVED), and copy it as it stands (_SAME: exactly as _record_line
+# writes it) or else render its record again
+_SAME, _UNSOLVED, _BLANK = 1, 2, 4
 # the start of a line whose keys come in _RECORD_KEYS order
 _PAIR = re.compile(r'\{"lhs": ([0-9]+), "rhs": ([0-9]+),')
 
 
 def _scan(
     path: str, drop_torn_tail: bool, laws: int | None, forms: bytearray | None
-) -> Iterator[ResultRecord]:
-    """iter_records' generator; with forms it also appends one of _BLANK,
-    _SAME, _OTHER or _UNSOLVED per line read."""
+) -> Iterator[Row]:
+    """iter_rows' generator; with forms it also appends the flags of each
+    line read.  A line _ROW matches is read by _row, any other, and one _row
+    leaves, by json.loads and _row_from_dict."""
     # the pairs read so far: one int bitset of rhs ids per lhs, and a set for
     # the rare pair whose rhs is too large for a bitset
     seen: dict[int, int] = {}
     wide: set[tuple[int, int]] = set()
-    # one shared copy of each status and method string
-    strings: dict[str | None, str | None] = {}
-    share = strings.setdefault
-    canonical_fields, record_type = _canonical_fields, ResultRecord
+    match_row, row_of, ints = _ROW.match, _row, _Ints()
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            fields = canonical_fields(raw)
-            if fields is None:
-                line = raw.strip()
-                if not line:
-                    if forms is not None:
-                        forms.append(_BLANK)
-                    continue
-                # json.loads raises a JSONDecodeError, _unique_keys a
-                # ValueError, int conversion a ValueError past its digit limit,
-                # and arrays nested past the recursion limit a RecursionError
-                try:
-                    payload = json.loads(line, object_pairs_hook=_unique_keys)
-                except (ValueError, RecursionError) as err:
-                    if drop_torn_tail and not raw.endswith("\n"):
-                        break
-                    raise ValueError(f"{path}:{lineno}: bad record: {err}") from None
+        lines, lineno = enumerate(handle, 1), 0
+        while lines is not None:
             try:
-                if fields is None:
-                    record = _record_from_dict(payload)
-                else:
-                    lhs, rhs, status, method, stage, seconds, witness = fields
-                    record = record_type(
-                        lhs, rhs, share(status, status), share(method, method), stage, seconds, witness
-                    )
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            lhs, rhs = record.lhs, record.rhs
-            if laws is not None and max(lhs, rhs) > laws:
-                raise ValueError(
-                    f"{path}:{lineno}: pair {(lhs, rhs)} names law {max(lhs, rhs)}, "
-                    f"but the corpus has {laws} laws"
-                )
-            if rhs < ROW_BITS:
-                row = seen.get(lhs, 0)
-                repeated = row >> rhs & 1
-                seen[lhs] = row | 1 << rhs
-            else:
-                repeated = (lhs, rhs) in wide
-                wide.add((lhs, rhs))
-            if repeated:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
-                    f"(first at line {_first_line(path, (lhs, rhs))})"
-                )
-            if forms is not None:
-                if record.status == UNSOLVED:
-                    forms.append(_UNSOLVED)
-                else:
-                    forms.append(_SAME if raw == _record_line(record) else _OTHER)
-            yield record
+                for lineno, raw in lines:
+                    match = match_row(raw)
+                    try:
+                        row = None if match is None else row_of(raw, match, ints)
+                        if row is None:
+                            line = raw.strip()
+                            if not line:
+                                if forms is not None:
+                                    forms.append(_BLANK)
+                                continue
+                            # json.loads raises a JSONDecodeError,
+                            # _unique_keys a ValueError, int conversion a
+                            # ValueError past its digit limit, and arrays
+                            # nested past the recursion limit a RecursionError
+                            try:
+                                payload = json.loads(line, object_pairs_hook=_unique_keys)
+                            except (ValueError, RecursionError) as err:
+                                if drop_torn_tail and not raw.endswith("\n"):
+                                    return
+                                raise ValueError(f"bad record: {err}") from None
+                            row = _row_from_dict(payload)
+                    except ValueError as err:
+                        raise ValueError(f"{path}:{lineno}: {err}") from None
+                    lhs, rhs = row[0], row[1]
+                    if laws is not None and max(lhs, rhs) > laws:
+                        raise ValueError(
+                            f"{path}:{lineno}: pair {(lhs, rhs)} names law {max(lhs, rhs)}, "
+                            f"but the corpus has {laws} laws"
+                        )
+                    if rhs < ROW_BITS:
+                        bits = seen.get(lhs, 0)
+                        repeated = bits >> rhs & 1
+                        seen[lhs] = bits | 1 << rhs
+                    else:
+                        repeated = (lhs, rhs) in wide
+                        wide.add((lhs, rhs))
+                    if repeated:
+                        raise ValueError(
+                            f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
+                            f"(first at line {_first_line(path, (lhs, rhs))})"
+                        )
+                    if forms is not None:
+                        # _ROW fixes every field's text but seconds' and the
+                        # witness's; a null witness ends the line
+                        if match is None:
+                            form = 0
+                        elif match[7] is None:
+                            form = _SAME if raw == _record_line(row) else 0
+                        else:
+                            form = _SAME if match[7] == "null}\n" and repr(row[5]) == match[6] else 0
+                        if row[2] == UNSOLVED:
+                            form |= _UNSOLVED
+                        forms.append(form)
+                    yield row
+                lines = None
+            except UnicodeDecodeError:
+                # the reader decodes the file a chunk of lines at a time, so
+                # its error names no line: read on from the last line read
+                lines = _decoded_lines(path, lineno)
 
 
-def _record_of(line: str) -> ResultRecord:
-    """The record of a line that iter_records has read."""
-    fields = _canonical_fields(line)
-    if fields is None:
-        return _record_from_dict(json.loads(line, object_pairs_hook=_unique_keys))
-    return ResultRecord(*fields)
+def _decoded_lines(path: str, done: int) -> Iterator[tuple[int, str]]:
+    """The numbered lines of the file past its first done, read again with
+    each byte that is not UTF-8 kept as a lone surrogate; the first line
+    holding one is an error naming it, with the decoder's own message."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            if lineno <= done:
+                continue
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
+            yield lineno, raw
+
+
+def _record_of(line: str) -> Row:
+    """The record of a line that iter_records has read, as a Row."""
+    match = _ROW.match(line)
+    row = None if match is None else _row(line, match, _Ints())
+    if row is None:
+        return _row_from_dict(json.loads(line, object_pairs_hook=_unique_keys))
+    return row
 
 
 def _pair_of(line: str) -> tuple[int, int]:
@@ -644,7 +703,9 @@ def _pair_of(line: str) -> tuple[int, int]:
 
 def _first_line(path: str, pair: tuple[int, int]) -> int | None:
     """The number of the first line holding pair's record."""
-    with open(path, encoding="utf-8") as handle:
+    # the lines before that record decode; one past it, in the same chunk,
+    # may not
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
             if not raw.isspace() and _pair_of(raw) == pair:
                 return lineno
@@ -666,13 +727,13 @@ def load_results(
 ) -> tuple[StatusMap, list[ResultRecord]]:
     """The log read through iter_records, with its checks: its status map,
     which carries decided pairs only, keyed for closure.propagate, and its
-    records in line order (an empty list without keep_records).  The status
-    map is a closure.StatusMap, one row bitset per law for each distinct
-    (status, method), so it holds no dict entry per pair."""
-    records = iter_records(path, drop_torn_tail, laws)
+    records in line order (an empty list without keep_records, which reads
+    rows alone).  The status map is a closure.StatusMap, one row bitset per
+    law for each distinct (status, method), so it holds no dict entry per
+    pair."""
     if not keep_records:
-        return _status_map(records), []
-    records = list(records)
+        return _status_map(iter_rows(path, drop_torn_tail, laws)), []
+    records = list(iter_records(path, drop_torn_tail, laws))
     return _status_map(records), records
 
 
@@ -684,14 +745,15 @@ def propagate_log(path: str) -> int:
     to is not rewritten.
 
     The log is read twice and never held.  The first pass builds the status
-    map and notes, per line, whether it is blank, unsolved, or decided and
-    exactly _record_line of its record.  The second streams the kept lines to
-    the rewrite: a decided line noted so as it stands, any other rendered by
-    _record_line (a line can match the canonical pattern and still differ
-    from it, as seconds 0.50 or a witness escaping "/" do).  Derived records
-    differ only in their pair and rule, so each derived line is its pair
-    followed by the rest of one line that _record_line renders per rule, in
-    (lhs, rhs) order as the closed map's rule bitsets give them."""
+    map from rows and notes, per line, whether it is blank, whether it is
+    unsolved, and whether it is exactly _record_line of its record.  The
+    second streams the kept lines to the rewrite: a line noted so as it
+    stands, any other rendered by _record_line (a line can match the pattern
+    and still differ from it, as seconds 0.50 or a witness escaping "/" do).
+    Derived records differ only in their pair and rule, so each derived line
+    is its pair followed by the rest of one line that _record_line renders
+    per rule, in (lhs, rhs) order as the closed map's rule bitsets give
+    them."""
     forms = bytearray()
     status_map = _status_map(_scan(path, False, None, forms))
     closed = propagate(status_map)
@@ -704,12 +766,9 @@ def propagate_log(path: str) -> int:
     def kept_lines():
         with open(path, encoding="utf-8") as handle:
             for raw, form in zip(handle, forms):
-                if form == _SAME:
-                    yield raw
-                elif form == _OTHER:
-                    yield _record_line(_record_of(raw))
-                elif form == _UNSOLVED and not closed.derives(_pair_of(raw)):
-                    yield _record_line(_record_of(raw))
+                if form == _BLANK or form & _UNSOLVED and closed.derives(_pair_of(raw)):
+                    continue
+                yield raw if form & _SAME else _record_line(_record_of(raw))
 
     def closure_lines():
         tails: dict[str, str] = {}  # by rule, which fixes the status
@@ -717,7 +776,7 @@ def propagate_log(path: str) -> int:
             rule = entry.provenance
             tail = tails.get(rule)
             if tail is None:
-                line = _record_line(ResultRecord(1, 2, entry.status, rule, CLOSURE_STAGE, 0.0, None))
+                line = _record_line(Row(1, 2, entry.status, rule, CLOSURE_STAGE, 0.0, None))
                 tail = tails[rule] = line.partition('"rhs": 2')[2]
             yield f'{{"lhs": {lhs}, "rhs": {rhs}{tail}'
 

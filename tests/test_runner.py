@@ -38,6 +38,7 @@ from eqimp.models import (
     parse_countermodel,
     verify_equation,
 )
+from eqimp.report import histogram, render, summarize
 from eqimp.runner import (
     CLOSURE_STAGE,
     ENGINE_FMB,
@@ -1014,15 +1015,21 @@ def test_pairs_past_the_bitset_width_load_and_close(tmp_path):
     ]
 
 
-def test_closure_and_report_hold_no_record_per_line(tmp_path, capsys):
-    # the hidden preorder log of the benchmark's campaign workload, over 100
-    # laws: loading it holds every record, closure and report stream it
+def _campaign_log(tmp_path):
+    """The hidden preorder log of the benchmark's campaign workload over 100
+    laws, seed 1."""
     spec = importlib.util.spec_from_file_location("perfbench_laws", PERFBENCH / "laws.py")
-    laws = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(laws)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     rng = random.Random(1)
     log = str(tmp_path / "campaign.jsonl")
-    laws.write_campaign_log(log, rng, laws.campaign_truth(rng, 100, 10, 0.5), 0.3)
+    module.write_campaign_log(log, rng, module.campaign_truth(rng, 100, 10, 0.5), 0.3)
+    return log
+
+
+def test_closure_and_report_hold_no_record_per_line(tmp_path, capsys):
+    # loading the log holds every record, closure and report stream it
+    log = _campaign_log(tmp_path)
 
     def peak(call):
         tracemalloc.start()
@@ -1038,6 +1045,166 @@ def test_closure_and_report_hold_no_record_per_line(tmp_path, capsys):
     reporting = peak(lambda: main(["report", "--results", log]))
     assert "closure:R1" in capsys.readouterr().out
     assert closing < loaded / 4 and reporting < loaded / 4, (loaded, closing, reporting)
+
+
+def test_readers_build_no_record_per_canonical_line(tmp_path, monkeypatch, capsys):
+    # report, closure and verify fold rows; a ResultRecord is built only for
+    # a line the pattern leaves to json.loads, and a campaign log has none
+    log = _campaign_log(tmp_path)
+    eqs = tmp_path / "hundred.eqs"
+    eqs.write_text("x = x\n" * 100)
+    built = []
+    record_type = runner.ResultRecord
+
+    def counting(*args, **kwargs):
+        built.append(args or kwargs)
+        return record_type(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ResultRecord", counting)
+    for _ in range(2):  # the log as written, then closed
+        assert main(["report", "--results", log]) == 0
+        assert main(["report", "--results", log, "--histogram"]) == 0
+        load_results(log, laws=100, keep_records=False)  # verify's first pass
+        # the first decided record carries no proof
+        assert main(["verify", "--eqs", str(eqs), "--results", log]) == 2
+        assert main(["closure", "--results", log]) == 0
+    assert "closure:R1" in capsys.readouterr().out
+    assert built == []
+    assert len(load_results(log)[1]) == len(built) == 9900
+
+
+# an edge line's fields as their JSON text, in the writer's key order, on the
+# pair (4, 5); the laws of _EDGE_LAWS have 1 -> 2 -> 3 proven and nothing of
+# 4 or 5 decided, so closure derives (1, 3) alone, whatever the edge line holds
+_EDGE_FIELDS = {"lhs": "4", "rhs": "5", "status": '"proven"', "method": '"satur-500i"',
+                "stage": "2", "seconds": "0.25", "witness": "null"}
+_EDGE_LAWS = "x = y\nx * y = z * w\nx * y = y * x\nx * (y * z) = (x * y) * z\nx * x = x\n"
+_EDGES = [
+    ("writer", {}, "\n"),
+    ("lhs-minus-1", {"lhs": "-1"}, "\n"),
+    ("lhs-0", {"lhs": "0"}, "\n"),
+    ("lhs-01", {"lhs": "01"}, "\n"),
+    ("lhs-is-rhs", {"lhs": "5"}, "\n"),
+    ("stage-minus-0", {"stage": "-0"}, "\n"),
+    ("stage-minus-1", {"stage": "-1"}, "\n"),
+    ("decided-null-stage", {"stage": "null"}, "\n"),
+    ("seconds-1e999", {"seconds": "1e999"}, "\n"),
+    ("seconds-1e+999", {"seconds": "1e+999"}, "\n"),  # in the writer's exponent form
+    ("seconds-minus", {"seconds": "-0.5"}, "\n"),
+    ("seconds-int", {"seconds": "5"}, "\n"),
+    ("seconds-0.50", {"seconds": "0.50"}, "\n"),
+    ("seconds-5e-05", {"seconds": "5e-05"}, "\n"),
+    ("status-bogus", {"status": '"bogus"'}, "\n"),
+    ("decided-null-method", {"method": "null"}, "\n"),
+    ("id-5000-digits", {"lhs": "7" * 5000}, "\n"),
+    ("witness-escaped-slash", {"witness": '"a\\/b"'}, "\n"),
+    ("no-final-newline", {}, ""),
+    ("space-before-newline", {}, " \n"),
+    ("unsolved-with-method-and-stage", {"status": '"unsolved"'}, "\n"),
+]
+
+
+def _edge_line(change, end):
+    fields = {**_EDGE_FIELDS, **change}
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}" + end
+
+
+def _oracle(line):
+    """The record json.loads and ResultRecord read from the line, or the text
+    of the error the log reader gives for it."""
+    try:
+        payload = json.loads(line)
+    except ValueError as err:
+        return f"bad record: {err}"
+    try:
+        return ResultRecord(**payload)
+    except ValueError as err:
+        return str(err)
+
+
+def _cli(argv, capsys):
+    capsys.readouterr()
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("change, end", [edge[1:] for edge in _EDGES], ids=[e[0] for e in _EDGES])
+def test_edge_lines_read_as_json_and_result_record_read_them(tmp_path, capsys, change, end):
+    eqs = tmp_path / "laws.eqs"
+    eqs.write_text(_EDGE_LAWS)
+    corpus = load_corpus(str(eqs))
+    stage = Schedule((MethodSpec("satur-500i", ENGINE_SATUR, Budget.of_steps(500)),))
+    base = [
+        dataclasses.replace(attempt_pair(corpus, lhs, rhs, stage), seconds=0.25)
+        for lhs, rhs in ((1, 2), (2, 3))
+    ]
+    assert all(record.status == PROVEN for record in base)
+    line = _edge_line(change, end)
+    text = "".join(map(runner._record_line, base)) + line
+    log = tmp_path / "edge.jsonl"
+    log.write_text(text)
+    path = str(log)
+    expected = _oracle(line)
+    if isinstance(expected, str):
+        message = f"{path}:3: {expected}"
+        with pytest.raises(ValueError) as caught:
+            list(iter_records(path))
+        assert str(caught.value) == message
+        for argv in (
+            ["report", "--results", path],
+            ["report", "--results", path, "--histogram"],
+            ["verify", "--eqs", str(eqs), "--results", path],
+            ["closure", "--results", path],
+        ):
+            assert _cli(argv, capsys) == (1, "", f"error: {message}\n"), argv
+        assert log.read_text() == text
+        return
+
+    records = [*base, expected]
+    assert _typed(iter_records(path)) == _typed(records)
+    assert _cli(["report", "--results", path], capsys) == (0, render(summarize(records)), "")
+    assert _cli(["report", "--results", path, "--histogram"], capsys) == (
+        0, render(histogram(records)), ""
+    )
+    # verify reads the same records from the line as from the writer's line
+    # for its record
+    written = tmp_path / "written.jsonl"
+    written.write_text("".join(map(runner._record_line, records)))
+    verified = _cli(["verify", "--eqs", str(eqs), "--results", str(written)], capsys)
+    assert _cli(["verify", "--eqs", str(eqs), "--results", path], capsys) == verified
+    # closure writes every kept record as json.dumps does, then (1, 3)
+    derived = ResultRecord(1, 3, PROVEN, "closure:R1", CLOSURE_STAGE, 0.0, None)
+    assert _cli(["closure", "--results", path], capsys) == (0, "derived 1 new results\n", "")
+    assert log.read_text() == "".join(
+        json.dumps(dataclasses.asdict(record)) + "\n" for record in [*records, derived]
+    )
+
+
+def test_a_line_that_is_not_utf_8_is_an_error_naming_it(tmp_path, capsys):
+    good = lambda lhs, rhs: runner._record_line(
+        ResultRecord(lhs, rhs, UNSOLVED, None, None, 0.5, None)
+    ).encode()
+    bad = good(2, 1).replace(b'"method": null', b'"method": "caf\xe9"')
+    try:
+        bad.decode("utf-8")
+    except UnicodeDecodeError as err:
+        decoding = str(err)
+    assert f"position {bad.index(0xE9)}:" in decoding  # counted within the line
+    before = b"".join(good(1, rhs) for rhs in range(2, 60))  # in the same decoded chunk
+    log = tmp_path / "out.jsonl"
+    path = str(log)
+    for text, message in (
+        (before + bad + good(2, 3), f"{path}:59: {decoding}"),
+        # a format error before the line is still the first one reported
+        (good(1, 2) + before + bad, f"{path}:2: duplicate record for pair (1, 2) (first at line 1)"),
+    ):
+        log.write_bytes(text)
+        with pytest.raises(ValueError) as caught:
+            list(iter_records(path))
+        assert str(caught.value) == message
+        for argv in (["report", "--results", path], ["closure", "--results", path]):
+            assert _cli(argv, capsys) == (1, "", f"error: {message}\n")
+        assert log.read_bytes() == text
 
 
 # json.dumps writes the log, so json is the oracle: witnesses with every kind
