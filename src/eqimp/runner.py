@@ -569,9 +569,20 @@ def iter_records(
     # one shared copy of each status and method string
     strings: dict[str | None, str | None] = {}
     share = strings.setdefault
-    record = ResultRecord
     for lhs, rhs, status, method, stage, seconds, witness in iter_rows(path, drop_torn_tail, laws):
-        yield record(lhs, rhs, share(status, status), share(method, method), stage, seconds, witness)
+        status, method = share(status, status), share(method, method)
+        yield _row_record(lhs, rhs, status, method, stage, seconds, witness)
+
+
+def _row_record(lhs, rhs, status, method, stage, seconds, witness, record_type=ResultRecord):
+    """The ResultRecord of a Row's fields, which have passed its checks: the
+    fields are set directly, so that __post_init__ does not run them again.
+    (record_type is bound here so that a wrapper put in ResultRecord's place
+    does not stand in for the class.)"""
+    record = object.__new__(record_type)
+    record.lhs, record.rhs, record.status, record.method = lhs, rhs, status, method
+    record.stage, record.seconds, record.witness = stage, seconds, witness
+    return record
 
 
 def iter_rows(

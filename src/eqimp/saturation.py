@@ -38,6 +38,7 @@ from .terms import (
     Term,
     Var,
     apply_subst,
+    canonical_sides,
     canonicalize,
     format_term,
     parse_term,
@@ -65,41 +66,36 @@ class Cmp(Enum):
 GT, LT, EQ, INC = Cmp.GT, Cmp.LT, Cmp.EQ, Cmp.INC
 
 
-def _head_rank(term: Term) -> tuple[int, int]:
-    # precedence: a < b < c < ... < op
-    if isinstance(term, Const):
-        return (0, term.index)
-    return (1, 0)
+def _covers(s: Term, t: Term) -> bool:
+    """Each variable occurs in s at least as often as in t."""
+    counts = s._counts
+    for index, k in t._counts.items():
+        if counts.get(index, 0) < k:
+            return False
+    return True
 
 
 def kbo_compare(s: Term, t: Term) -> Cmp:
-    if s == t:
+    # precedence: a < b < c < ... < op
+    if s is t:
         return EQ
-    ws, vs = shape(s)
-    wt, vt = shape(t)
-    s_covers = all(vs.get(i, 0) >= k for i, k in vt.items())
-    t_covers = all(vt.get(i, 0) >= k for i, k in vs.items())
-    if ws > wt:
-        return GT if s_covers else INC
-    if wt > ws:
-        return LT if t_covers else INC
-    if isinstance(s, Var) or isinstance(t, Var):
-        # equal weight but distinct: a variable against a constant or
-        # another variable is incomparable
+    if s.size > t.size:
+        return GT if _covers(s, t) else INC
+    if t.size > s.size:
+        return LT if _covers(t, s) else INC
+    # equal weight: two constants, two products, or a variable against a
+    # constant or another variable, which is incomparable
+    if isinstance(s, Const) and isinstance(t, Const):
+        return GT if s.index > t.index else LT
+    if not (isinstance(s, Op) and isinstance(t, Op)):
         return INC
-    rank_s, rank_t = _head_rank(s), _head_rank(t)
-    if rank_s > rank_t:
-        return GT if s_covers else INC
-    if rank_s < rank_t:
-        return LT if t_covers else INC
-    # same head; equal constants were caught by the identity test
     sub = kbo_compare(s.left, t.left)
-    if sub == EQ:
+    if sub is EQ:
         sub = kbo_compare(s.right, t.right)
-    if sub == GT:
-        return GT if s_covers else INC
-    if sub == LT:
-        return LT if t_covers else INC
+    if sub is GT:
+        return GT if _covers(s, t) else INC
+    if sub is LT:
+        return LT if _covers(t, s) else INC
     return INC
 
 
@@ -108,6 +104,8 @@ def kbo_compare(s: Term, t: Term) -> Cmp:
 
 def match(pattern: Term, subject: Term) -> Subst | None:
     """One-way matching: a substitution s with s(pattern) == subject."""
+    if pattern.size > subject.size:
+        return None  # no instance is smaller than its pattern
     subst: Subst = {}
     stack = [(pattern, subject)]
     while stack:
@@ -116,10 +114,10 @@ def match(pattern: Term, subject: Term) -> Subst | None:
             bound = subst.get(p.index)
             if bound is None:
                 subst[p.index] = s
-            elif bound != s:
+            elif bound is not s:
                 return None
         elif isinstance(p, Const):
-            if p != s:
+            if p is not s:
                 return None
         else:
             if not isinstance(s, Op):
@@ -129,32 +127,45 @@ def match(pattern: Term, subject: Term) -> Subst | None:
     return subst
 
 
+def _resolve(term: Term, subst: Subst) -> Term:
+    # term with each bound variable replaced, through chains of bindings
+    if isinstance(term, Var):
+        bound = subst.get(term.index)
+        return term if bound is None else _resolve(bound, subst)
+    if isinstance(term, Op) and not subst.keys().isdisjoint(term._counts):
+        return Op(_resolve(term.left, subst), _resolve(term.right, subst))
+    return term
+
+
 def unify(s: Term, t: Term) -> Subst | None:
-    """Most general unifier with occurs check, or None.  Each binding is
-    applied at once to the pairs still open and to the earlier bindings, so
-    the substitution is idempotent at every step; the left side's variable
-    is bound first."""
+    """Most general unifier with occurs check, or None.  Bindings are kept
+    triangular (a binding may hold a variable bound after it) and resolved
+    once at the end into the idempotent substitution; a new binding's side
+    is resolved first, for the occurs check.  The left side's variable is
+    bound first."""
     subst: Subst = {}
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        if a == b:
+        while isinstance(a, Var) and a.index in subst:
+            a = subst[a.index]
+        while isinstance(b, Var) and b.index in subst:
+            b = subst[b.index]
+        if a is b:
             continue
         if isinstance(b, Var) and not isinstance(a, Var):
             a, b = b, a
         if isinstance(a, Var):
-            if a.index in variables(b):
+            b = _resolve(b, subst)
+            if a.index in b._counts:
                 return None
-            binding = {a.index: b}
-            subst = {i: apply_subst(v, binding) for i, v in subst.items()}
             subst[a.index] = b
-            stack = [(apply_subst(l, binding), apply_subst(r, binding)) for l, r in stack]
         elif isinstance(a, Op) and isinstance(b, Op):
             stack.append((a.left, b.left))
             stack.append((a.right, b.right))
         else:
             return None
-    return subst
+    return {i: _resolve(v, subst) for i, v in subst.items()}
 
 
 # --- proof steps --------------------------------------------------------------
@@ -229,7 +240,7 @@ class Derivation:
 
 
 def _reverse(uses: list[Use]) -> list[Use]:
-    return [use._replace(flip=not use.flip) for use in reversed(uses)]
+    return [Use(u.source, not u.flip, u.subst, u.context, u.pos, u.shift) for u in reversed(uses)]
 
 
 def _place(chain: tuple[Step, ...], use: Use) -> list[Step]:
@@ -335,7 +346,7 @@ def _try_rewrite_root(term, rules):
         if not ordered or extra:
             if kbo_compare(term, replacement) != GT:
                 continue
-        return replacement, (), use._replace(subst=subst)
+        return replacement, (), Use(use.source, use.flip, subst)
     return None
 
 
@@ -373,7 +384,7 @@ def _normalize_traced(term, rules):
         if len(uses) >= REWRITE_CAP:
             raise ValueError(f"rewrite step cap {REWRITE_CAP} exceeded")
         new_term, pos, use = hit
-        uses.append(use._replace(context=term, pos=pos))
+        uses.append(Use(use.source, use.flip, use.subst, term, pos))
         term = new_term
 
 
@@ -409,20 +420,27 @@ def _canonical_triple(left, right, parts):
     """The canonical equation and a derivation of it from the concatenated
     parts.  The chain's renaming starts from the same first-occurrence
     numbering of the equation as canonicalize."""
-    eq = canonicalize(Equation(left, right))
-    return eq.lhs, eq.rhs, Derivation(tuple(parts), (left, right))
+    return (*canonical_sides(left, right), Derivation(tuple(parts), (left, right)))
 
 
-def _overlaps(inner, outer, include_root, meter):
+def _sites(term, cache):
+    """The non-variable positions of term and their subterms, in preorder."""
+    found = cache.get(term)
+    if found is None:
+        found = [(pos, sub) for pos, sub in positions(term) if not isinstance(sub, Var)]
+        cache[term] = found
+    return found
+
+
+def _overlaps(inner, outer, include_root, meter, cache):
+    # the uses of directed views carry only a source and a flip
     s_in, t_in, use_in = inner
     s_out, t_out, use_out = outer
     found = []
-    for pos, sub in positions(s_out):
+    for pos, sub in _sites(s_out, cache):
         if meter.expired():
             break  # the caller sees the expiry too and drops this partial list
-        if isinstance(sub, Var):
-            continue
-        if not include_root and pos == ():
+        if not (include_root or pos):
             continue
         mgu = unify(sub, s_in)
         if mgu is None:
@@ -431,34 +449,39 @@ def _overlaps(inner, outer, include_root, meter):
         # unifies sub with s_in, so the peak holds s_in's instance at pos
         peak = apply_subst(s_out, mgu)
         left = apply_subst(t_out, mgu)
-        if kbo_compare(left, peak) == GT:
+        if kbo_compare(left, peak) is GT:
             continue
         target = apply_subst(t_in, mgu)
-        if kbo_compare(target, subterm_at(peak, pos)) == GT:
+        if kbo_compare(target, subterm_at(peak, pos)) is GT:
             continue
         right = replace_at(peak, pos, target)
-        if left == right:
+        if left is right:
             continue
-        back = use_out._replace(flip=not use_out.flip, subst=mgu)
-        forward = use_in._replace(subst=mgu, context=peak, pos=pos)
+        back = Use(use_out.source, not use_out.flip, mgu)
+        forward = Use(use_in.source, use_in.flip, mgu, peak, pos)
         found.append(_canonical_triple(left, right, (back, forward)))
     return found
 
 
-def _critical_pair_triples(e1: ProcessedEq, e2: ProcessedEq, meter: BudgetMeter):
+def _critical_pair_triples(e1: ProcessedEq, e2: ProcessedEq, meter: BudgetMeter, cache: dict):
+    """The canonical triples of the overlaps between e1 and e2, whose
+    variables are shifted past e1's.  cache keeps e2's shifted copy and each
+    outer side's overlap sites for later calls of the same loop."""
     offset = max(variables(e1.lhs, e1.rhs), default=-1) + 1
-    shift = {i: Var(i + offset) for i in variables(e2.lhs, e2.rhs)}
-    shifted = ProcessedEq(
-        apply_subst(e2.lhs, shift),
-        apply_subst(e2.rhs, shift),
-        e2.orientation,
-        Derivation((Use(e2.derivation, shift=offset),)),
-    )
+    shifted = cache.get((e2, offset))
+    if shifted is None:
+        shift = {i: Var(i + offset) for i in variables(e2.lhs, e2.rhs)}
+        shifted = cache[e2, offset] = ProcessedEq(
+            apply_subst(e2.lhs, shift),
+            apply_subst(e2.rhs, shift),
+            e2.orientation,
+            Derivation((Use(e2.derivation, shift=offset),)),
+        )
     triples = []
     for d1 in e1.directed():
         for d2 in shifted.directed():
-            triples.extend(_overlaps(d1, d2, True, meter))
-            triples.extend(_overlaps(d2, d1, False, meter))
+            triples.extend(_overlaps(d1, d2, True, meter, cache))
+            triples.extend(_overlaps(d2, d1, False, meter, cache))
     return triples
 
 
@@ -504,23 +527,24 @@ def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
 
     queue: list[tuple[int, int, Term, Term, Derivation]] = []
     serial = 0
-    seen: set[Equation] = set()
+    seen: set[tuple[Term, Term]] = set()  # canonical sides
+    cache: dict = {}  # shifted copies and overlap sites, for this loop only
 
-    def unseen(key: Equation) -> bool:
-        """Record a canonical equation and its canonical flip; False when it
-        was seen either way round."""
-        if key in seen:
+    def unseen(left, right) -> bool:
+        """Record canonical sides and their canonical flip; False when they
+        were seen either way round."""
+        if (left, right) in seen:
             return False
-        seen.add(key)
-        seen.add(canonicalize(Equation(key.rhs, key.lhs)))
+        seen.add((left, right))
+        seen.add(canonical_sides(right, left))
         return True
 
     def enqueue(left, right, derivation):
         """Queue the canonical triple unless its equation was seen."""
         nonlocal serial
-        if not unseen(Equation(left, right)):
+        if not unseen(left, right):
             return
-        heapq.heappush(queue, (shape(left, right)[0], serial, left, right, derivation))
+        heapq.heappush(queue, (left.size + right.size, serial, left, right, derivation))
         serial += 1
 
     processed: list[ProcessedEq] = []
@@ -552,7 +576,7 @@ def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
             triple = _normal_triple(left, right, derivation, rules)
             if triple is None:
                 continue
-            if triple[2] is not derivation and not unseen(Equation(*triple[:2])):
+            if triple[2] is not derivation and not unseen(triple[0], triple[1]):
                 continue  # rewritten to an equation already seen
             left, right, derivation = triple
             given = ProcessedEq(left, right, kbo_compare(left, right), derivation)
@@ -561,7 +585,7 @@ def saturate_many(axiom: Equation, goals, budget: Budget = UNLIMITED) -> list:
             # unaffected; they keep one long iteration from overrunning a wall budget
             new_triples = []
             for other in processed + [given]:
-                new_triples.extend(_critical_pair_triples(given, other, meter))
+                new_triples.extend(_critical_pair_triples(given, other, meter, cache))
                 if meter.expired():
                     break
 

@@ -355,10 +355,20 @@ def variables(*terms: Term) -> list[int]:
     return list(shape(*terms)[1])
 
 
+def canonical_sides(lhs: Term, rhs: Term) -> tuple[Term, Term]:
+    """The sides with variables renumbered by first occurrence, lhs before
+    rhs, preorder; the sides themselves when they are numbered so already."""
+    # a merged dict keeps lhs's keys first, then rhs's new ones, in order
+    order = {**lhs._counts, **rhs._counts}
+    rename = {old: Var(new) for new, old in enumerate(order) if old != new}
+    if not rename:
+        return lhs, rhs
+    return apply_subst(lhs, rename), apply_subst(rhs, rename)
+
+
 def canonicalize(eq: Equation) -> Equation:
     """Renumber variables by first occurrence, lhs before rhs, preorder."""
-    rename = {old: Var(new) for new, old in enumerate(variables(eq.lhs, eq.rhs))}
-    return Equation(apply_subst(eq.lhs, rename), apply_subst(eq.rhs, rename), id=eq.id)
+    return Equation(*canonical_sides(eq.lhs, eq.rhs), id=eq.id)
 
 
 # --- term positions --------------------------------------------------------

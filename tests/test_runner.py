@@ -1054,13 +1054,17 @@ def test_readers_build_no_record_per_canonical_line(tmp_path, monkeypatch, capsy
     eqs = tmp_path / "hundred.eqs"
     eqs.write_text("x = x\n" * 100)
     built = []
-    record_type = runner.ResultRecord
 
-    def counting(*args, **kwargs):
-        built.append(args or kwargs)
-        return record_type(*args, **kwargs)
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            built.append(args or kwargs)
+            return build(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "ResultRecord", counting)
+        return wrapper
+
+    # a record is built with its checks, or from a checked row without them
+    monkeypatch.setattr(runner, "_row_record", counting(runner._row_record))
+    monkeypatch.setattr(runner, "ResultRecord", counting(runner.ResultRecord))
     for _ in range(2):  # the log as written, then closed
         assert main(["report", "--results", log]) == 0
         assert main(["report", "--results", log, "--histogram"]) == 0
@@ -1071,6 +1075,31 @@ def test_readers_build_no_record_per_canonical_line(tmp_path, monkeypatch, capsy
     assert "closure:R1" in capsys.readouterr().out
     assert built == []
     assert len(load_results(log)[1]) == len(built) == 9900
+
+
+def test_records_read_back_equal_checked_ones_and_others_stay_checked(tmp_path):
+    # iter_records builds each record from a checked row without running
+    # ResultRecord's checks again; a record built any other way, or through
+    # dataclasses.replace, is checked with the same messages
+    records = list(iter_records(_campaign_log(tmp_path)))
+    assert len(records) == 9900
+    for record in records:
+        assert type(record) is ResultRecord
+        assert record == ResultRecord(*dataclasses.astuple(record))
+    decided = next(record for record in records if record.status != UNSOLVED)
+    for change, message in (
+        ({"rhs": decided.lhs}, "lhs and rhs must be distinct positive ids"),
+        ({"status": "maybe"}, "unknown status 'maybe'"),
+        ({"stage": None}, "decided records need method and stage"),
+        ({"seconds": float("inf")}, "seconds must be finite and nonnegative"),
+        ({"witness": 3}, "witness must be a string"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(decided, **change)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            ResultRecord(**{**dataclasses.asdict(decided), **change})
+        assert str(caught.value) == message
 
 
 # an edge line's fields as their JSON text, in the writer's key order, on the

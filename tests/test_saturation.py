@@ -1,3 +1,4 @@
+import gc
 import heapq
 import itertools
 import pathlib
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import oracle_holds, oracle_tables, random_equation, random_ground_term, random_term
-from eqimp import saturation
+from eqimp import saturation, terms
 from eqimp.budget import UNLIMITED, Budget, BudgetMeter
 from eqimp.models import FOUND, find_countermodel
 from eqimp.saturation import (
@@ -284,6 +285,72 @@ def test_unifier_is_most_general():
             assert apply_subst(apply_subst(Var(i), mu), lam) == apply_subst(Var(i), theta)
 
 
+def _eager_unify(s, t, failures):
+    """unify as first written, the reference for the triangular one: each
+    binding is applied at once to the pairs still open and to the earlier
+    bindings.  Each failure's cause is appended to failures."""
+    subst = {}
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        if a == b:
+            continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
+        if isinstance(a, Var):
+            if a.index in variables(b):
+                failures.append("occurs")
+                return None
+            binding = {a.index: b}
+            subst = {i: apply_subst(v, binding) for i, v in subst.items()}
+            subst[a.index] = b
+            stack = [(apply_subst(l, binding), apply_subst(r, binding)) for l, r in stack]
+        elif isinstance(a, Op) and isinstance(b, Op):
+            stack.append((a.left, b.left))
+            stack.append((a.right, b.right))
+        else:
+            failures.append("clash")
+            return None
+    return subst
+
+
+def test_unify_returns_what_eager_unification_returns():
+    # variable-only terms over a few shared variables fail the occurs check,
+    # constants add clashes, a shifted side shares no variable (as in a
+    # critical pair), and two sides of one shape with only variables at their
+    # leaves bind variables to variables in chains
+    rng = random.Random(23)
+    shifted = {i: Var(i + 4) for i in range(4)}
+
+    def relabel(term):
+        if isinstance(term, Op):
+            return Op(relabel(term.left), relabel(term.right))
+        return Var(rng.randrange(5))
+
+    failures = []
+    tally = Counter()
+    for round in range(8_000):
+        kind = round % 4
+        if kind == 3:
+            s = random_term(rng, 3, 5)
+            t = relabel(s)
+        else:
+            s = random_term(rng, 3, 4 - kind, num_consts=kind)
+            t = random_term(rng, 3, 4 - kind, num_consts=kind)
+            if kind == 1 and round % 8 == 1:
+                t = apply_subst(t, shifted)
+        expected = _eager_unify(s, t, failures)
+        got = unify(s, t)
+        if expected is None:
+            assert got is None, (s, t)
+            continue
+        assert list(got.items()) == list(expected.items()), (s, t)  # insertion order too
+        tally["shared"] += bool(set(variables(s)) & set(variables(t)))
+        tally["chains"] += sum(isinstance(value, Var) for value in got.values()) >= 2
+    tally.update(failures)
+    assert min(tally[kind] for kind in ("shared", "chains", "occurs", "clash")) > 500, tally
+
+
 def test_match_found_by_oracle_search():
     rng = random.Random(46)
     for _ in range(500):
@@ -366,7 +433,7 @@ def critical_pairs(e1, e2):
     """The canonical critical pairs between two equations, as saturation
     derives them; the same equation may be passed twice."""
     triples = _critical_pair_triples(
-        orient_equation(e1), orient_equation(e2), BudgetMeter(UNLIMITED)
+        orient_equation(e1), orient_equation(e2), BudgetMeter(UNLIMITED), {}
     )
     return [Equation(left, right) for left, right, _ in triples]
 
@@ -739,6 +806,21 @@ def test_shared_loop_matches_one_goal_calls_on_random_laws():
         assert list(map(_summary, shared)) == list(map(_summary, alone))
         statuses.update(outcome.status for outcome in shared)
     assert statuses == {PROVED, SATURATED, OUT_OF_BUDGET}
+
+
+def test_a_loop_keeps_no_product_once_it_returns():
+    # the loop keeps shifted copies and overlap sites for its own length; once
+    # it returns and its outcomes are gone, every product it built is freed
+    corpus = load_corpus(str(DATA / "random8.eqs"))
+    goals = [skolemize(corpus.by_id(rhs)) for rhs in (1, 2, 3, 5, 6, 7, 8)]
+    gc.collect()
+    before = set(terms._ops)
+    outcomes = saturate_many(corpus.by_id(4), goals, Budget.of_steps(10))
+    assert any(outcome.proof and outcome.proof.steps for outcome in outcomes)
+    assert not set(terms._ops) <= before  # the proofs hold products built by the loop
+    del outcomes
+    gc.collect()
+    assert set(terms._ops) <= before
 
 
 def test_a_goal_past_the_rewrite_cap_fails_alone(monkeypatch):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import random_equation
+from conftest import random_equation, random_term
 from eqimp import terms
 from eqimp.budget import Budget
 from eqimp.saturation import saturate
@@ -17,6 +17,7 @@ from eqimp.terms import (
     Op,
     Var,
     apply_subst,
+    canonical_sides,
     canonicalize,
     enumerate_pairs,
     format_term,
@@ -204,6 +205,34 @@ def test_a_product_leaves_the_shape_of_its_sides_unchanged():
         assert shape(product) == (9, {0: 2, 1: 1})
         assert shape(term) == (5, {0: 2, 1: 1})
         assert shape(ground) == (3, {})
+
+
+def _eager_canonicalize(eq):
+    """canonicalize as first written, the reference for canonical_sides: one
+    renaming substitution built for every variable and applied to both sides."""
+    rename = {old: Var(new) for new, old in enumerate(variables(eq.lhs, eq.rhs))}
+    return Equation(apply_subst(eq.lhs, rename), apply_subst(eq.rhs, rename), id=eq.id)
+
+
+def test_canonical_sides_rename_as_canonicalize_did():
+    # sides over six variables are mostly renamed; canonical ones, and their
+    # flips, take the path that skips the renaming walk
+    rng = random.Random(29)
+    renamed = kept = 0
+    for round in range(3_000):
+        if round % 3:
+            eq = Equation(random_term(rng, 3, 6), random_term(rng, 3, 6), id=round)
+        else:
+            eq = random_equation(rng)
+        for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+            expected = _eager_canonicalize(Equation(lhs, rhs, id=round))
+            sides = canonical_sides(lhs, rhs)
+            assert sides == (expected.lhs, expected.rhs), (lhs, rhs)
+            assert canonicalize(Equation(lhs, rhs, id=round)) == expected
+            assert canonicalize(Equation(lhs, rhs, id=round)).id == round
+            kept += sides == (lhs, rhs)
+            renamed += sides != (lhs, rhs)
+    assert min(kept, renamed) > 1_000, (kept, renamed)
 
 
 def test_canonicalize_idempotent():
