@@ -556,40 +556,18 @@ def _attempt(task: tuple[int, tuple[int, ...]]) -> list[ResultRecord]:
     return attempt_premise(corpus, task[0], task[1], schedule)
 
 
-def iter_records(
-    path: str, drop_torn_tail: bool = False, laws: int | None = None
-) -> Iterator[ResultRecord]:
-    """The log's records, read one line at a time; duplicate pairs and
-    malformed lines are format errors naming the line, raised when the
-    reader reaches it.  A line as _record_line writes it is read by one
-    pattern, any other by json.loads; both give the same record.  With
-    drop_torn_tail, an unparsable final line without its newline (a write cut
-    short by a killed run) is skipped.  With laws, the size of the corpus the
-    log should belong to, a record naming a higher id is an error too."""
-    # one shared copy of each status and method string
-    strings: dict[str | None, str | None] = {}
-    share = strings.setdefault
-    for lhs, rhs, status, method, stage, seconds, witness in iter_rows(path, drop_torn_tail, laws):
-        status, method = share(status, status), share(method, method)
-        yield _row_record(lhs, rhs, status, method, stage, seconds, witness)
-
-
-def _row_record(lhs, rhs, status, method, stage, seconds, witness, record_type=ResultRecord):
-    """The ResultRecord of a Row's fields, which have passed its checks: the
-    fields are set directly, so that __post_init__ does not run them again.
-    (record_type is bound here so that a wrapper put in ResultRecord's place
-    does not stand in for the class.)"""
-    record = object.__new__(record_type)
-    record.lhs, record.rhs, record.status, record.method = lhs, rhs, status, method
-    record.stage, record.seconds, record.witness = stage, seconds, witness
-    return record
-
-
 def iter_rows(
     path: str, drop_torn_tail: bool = False, laws: int | None = None
 ) -> Iterator[Row]:
-    """iter_records' records as Rows, with the same checks and errors: a
-    caller that folds each record as it is read builds no ResultRecord."""
+    """The log's records as Rows, read one line at a time with every check of
+    ResultRecord; duplicate pairs and malformed lines are format errors
+    naming the line, raised when the reader reaches it, and so is a line
+    that is not UTF-8, with the decoder's own message.  A line as
+    _record_line writes it is read by one pattern, any other by json.loads;
+    both give the same row.  With drop_torn_tail, an unparsable final line
+    without its newline (a write cut short by a killed run) is skipped.
+    With laws, the size of the corpus the log should belong to, a record
+    naming a higher id is an error too."""
     return _scan(path, drop_torn_tail, laws, None)
 
 
@@ -613,89 +591,70 @@ def _scan(
     seen: dict[int, int] = {}
     wide: set[tuple[int, int]] = set()
     match_row, row_of, ints = _ROW.match, _row, _Ints()
-    with open(path, encoding="utf-8") as handle:
-        lines, lineno = enumerate(handle, 1), 0
-        while lines is not None:
-            try:
-                for lineno, raw in lines:
-                    match = match_row(raw)
-                    try:
-                        row = None if match is None else row_of(raw, match, ints)
-                        if row is None:
-                            line = raw.strip()
-                            if not line:
-                                if forms is not None:
-                                    forms.append(_BLANK)
-                                continue
-                            # json.loads raises a JSONDecodeError,
-                            # _unique_keys a ValueError, int conversion a
-                            # ValueError past its digit limit, and arrays
-                            # nested past the recursion limit a RecursionError
-                            try:
-                                payload = json.loads(line, object_pairs_hook=_unique_keys)
-                            except (ValueError, RecursionError) as err:
-                                if drop_torn_tail and not raw.endswith("\n"):
-                                    return
-                                raise ValueError(f"bad record: {err}") from None
-                            row = _row_from_dict(payload)
-                    except ValueError as err:
-                        raise ValueError(f"{path}:{lineno}: {err}") from None
-                    lhs, rhs = row[0], row[1]
-                    if laws is not None and max(lhs, rhs) > laws:
-                        raise ValueError(
-                            f"{path}:{lineno}: pair {(lhs, rhs)} names law {max(lhs, rhs)}, "
-                            f"but the corpus has {laws} laws"
-                        )
-                    if rhs < ROW_BITS:
-                        bits = seen.get(lhs, 0)
-                        repeated = bits >> rhs & 1
-                        seen[lhs] = bits | 1 << rhs
-                    else:
-                        repeated = (lhs, rhs) in wide
-                        wide.add((lhs, rhs))
-                    if repeated:
-                        raise ValueError(
-                            f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
-                            f"(first at line {_first_line(path, (lhs, rhs))})"
-                        )
-                    if forms is not None:
-                        # _ROW fixes every field's text but seconds' and the
-                        # witness's; a null witness ends the line
-                        if match is None:
-                            form = 0
-                        elif match[7] is None:
-                            form = _SAME if raw == _record_line(row) else 0
-                        else:
-                            form = _SAME if match[7] == "null}\n" and repr(row[5]) == match[6] else 0
-                        if row[2] == UNSOLVED:
-                            form |= _UNSOLVED
-                        forms.append(form)
-                    yield row
-                lines = None
-            except UnicodeDecodeError:
-                # the reader decodes the file a chunk of lines at a time, so
-                # its error names no line: read on from the last line read
-                lines = _decoded_lines(path, lineno)
-
-
-def _decoded_lines(path: str, done: int) -> Iterator[tuple[int, str]]:
-    """The numbered lines of the file past its first done, read again with
-    each byte that is not UTF-8 kept as a lone surrogate; the first line
-    holding one is an error naming it, with the decoder's own message."""
+    # a byte that is not UTF-8 is read as a lone surrogate, and decoding its
+    # line strictly again raises the decoder's error, a ValueError, for that
+    # line (any line: _row would read the surrogate in a witness)
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
-            if lineno <= done:
-                continue
-            if not raw.isascii():
-                try:
+            try:
+                if not raw.isascii():
                     raw.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as err:
-                    raise ValueError(f"{path}:{lineno}: {err}") from None
-            yield lineno, raw
+                match = match_row(raw)
+                row = None if match is None else row_of(raw, match, ints)
+                if row is None:
+                    line = raw.strip()
+                    if not line:
+                        if forms is not None:
+                            forms.append(_BLANK)
+                        continue
+                    # json.loads raises a JSONDecodeError, _unique_keys a
+                    # ValueError, int conversion a ValueError past its digit
+                    # limit, and arrays nested past the recursion limit a
+                    # RecursionError
+                    try:
+                        payload = json.loads(line, object_pairs_hook=_unique_keys)
+                    except (ValueError, RecursionError) as err:
+                        if drop_torn_tail and not raw.endswith("\n"):
+                            return
+                        raise ValueError(f"bad record: {err}") from None
+                    row = _row_from_dict(payload)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+            lhs, rhs = row[0], row[1]
+            if laws is not None and max(lhs, rhs) > laws:
+                raise ValueError(
+                    f"{path}:{lineno}: pair {(lhs, rhs)} names law {max(lhs, rhs)}, "
+                    f"but the corpus has {laws} laws"
+                )
+            if rhs < ROW_BITS:
+                bits = seen.get(lhs, 0)
+                repeated = bits >> rhs & 1
+                seen[lhs] = bits | 1 << rhs
+            else:
+                repeated = (lhs, rhs) in wide
+                wide.add((lhs, rhs))
+            if repeated:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
+                    f"(first at line {_first_line(path, (lhs, rhs))})"
+                )
+            if forms is not None:
+                # _ROW fixes every field's text but seconds' and the witness's;
+                # a null witness ends the line
+                if match is None:
+                    form = 0
+                elif match[7] is None:
+                    form = _SAME if raw == _record_line(row) else 0
+                else:
+                    form = _SAME if match[7] == "null}\n" and repr(row[5]) == match[6] else 0
+                if row[2] == UNSOLVED:
+                    form |= _UNSOLVED
+                forms.append(form)
+            yield row
 
 
 def _record_of(line: str) -> Row:
-    """The record of a line that iter_records has read, as a Row."""
+    """The record of a line that iter_rows has read, as a Row."""
     match = _ROW.match(line)
     row = None if match is None else _row(line, match, _Ints())
     if row is None:
@@ -704,7 +663,7 @@ def _record_of(line: str) -> Row:
 
 
 def _pair_of(line: str) -> tuple[int, int]:
-    """The pair of a line that iter_records has read."""
+    """The pair of a line that iter_rows has read."""
     match = _PAIR.match(line)
     if match is None:
         record = _record_of(line)
@@ -714,8 +673,7 @@ def _pair_of(line: str) -> tuple[int, int]:
 
 def _first_line(path: str, pair: tuple[int, int]) -> int | None:
     """The number of the first line holding pair's record."""
-    # the lines before that record decode; one past it, in the same chunk,
-    # may not
+    # the lines up to the duplicate decode; a later one may not
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
             if not raw.isspace() and _pair_of(raw) == pair:
@@ -736,15 +694,20 @@ def _status_map(records) -> StatusMap:
 def load_results(
     path: str, drop_torn_tail: bool = False, laws: int | None = None, keep_records: bool = True
 ) -> tuple[StatusMap, list[ResultRecord]]:
-    """The log read through iter_records, with its checks: its status map,
+    """The log read through iter_rows, with its checks: its status map,
     which carries decided pairs only, keyed for closure.propagate, and its
     records in line order (an empty list without keep_records, which reads
     rows alone).  The status map is a closure.StatusMap, one row bitset per
     law for each distinct (status, method), so it holds no dict entry per
-    pair."""
+    pair; the records share one copy of each status and method string."""
+    rows = iter_rows(path, drop_torn_tail, laws)
     if not keep_records:
-        return _status_map(iter_rows(path, drop_torn_tail, laws)), []
-    records = list(iter_records(path, drop_torn_tail, laws))
+        return _status_map(rows), []
+    share = {}.setdefault
+    records = [
+        ResultRecord(lhs, rhs, share(status, status), share(method, method), stage, seconds, witness)
+        for lhs, rhs, status, method, stage, seconds, witness in rows
+    ]
     return _status_map(records), records
 
 

@@ -51,7 +51,7 @@ from eqimp.runner import (
     attempt_pair,
     attempt_premise,
     default_schedule,
-    iter_records,
+    iter_rows,
     load_results,
     load_schedule,
     parse_schedule,
@@ -916,7 +916,8 @@ def test_streamed_readers_raise_what_load_results_raises(tmp_path, capsys, name,
     path = str(out)
     for torn in (False, True):
         expected = _read(lambda: load_results(path, drop_torn_tail=torn, laws=laws)[1])
-        assert _read(lambda: iter_records(path, drop_torn_tail=torn, laws=laws)) == expected
+        rows = lambda: iter_rows(path, drop_torn_tail=torn, laws=laws)
+        assert _read(lambda: (ResultRecord(*row) for row in rows())) == expected
     # with drop_torn_tail, the torn tail reads too
     assert (type(expected) is list) == (name in ("blank-lines", "torn-tail"))
     expected = _read(lambda: load_results(path, laws=laws)[1])
@@ -1062,8 +1063,6 @@ def test_readers_build_no_record_per_canonical_line(tmp_path, monkeypatch, capsy
 
         return wrapper
 
-    # a record is built with its checks, or from a checked row without them
-    monkeypatch.setattr(runner, "_row_record", counting(runner._row_record))
     monkeypatch.setattr(runner, "ResultRecord", counting(runner.ResultRecord))
     for _ in range(2):  # the log as written, then closed
         assert main(["report", "--results", log]) == 0
@@ -1078,10 +1077,10 @@ def test_readers_build_no_record_per_canonical_line(tmp_path, monkeypatch, capsy
 
 
 def test_records_read_back_equal_checked_ones_and_others_stay_checked(tmp_path):
-    # iter_records builds each record from a checked row without running
-    # ResultRecord's checks again; a record built any other way, or through
-    # dataclasses.replace, is checked with the same messages
-    records = list(iter_records(_campaign_log(tmp_path)))
+    # load_results builds each record it keeps through ResultRecord's checks,
+    # and a record built any other way, or through dataclasses.replace, is
+    # checked with the same messages
+    records = load_results(_campaign_log(tmp_path))[1]
     assert len(records) == 9900
     for record in records:
         assert type(record) is ResultRecord
@@ -1100,6 +1099,16 @@ def test_records_read_back_equal_checked_ones_and_others_stay_checked(tmp_path):
         with pytest.raises(ValueError) as caught:
             ResultRecord(**{**dataclasses.asdict(decided), **change})
         assert str(caught.value) == message
+
+
+def test_loaded_records_share_one_string_per_status_and_method(tmp_path):
+    # run --resume holds the loaded records, which would otherwise hold a
+    # string of each line's own for its status and its method
+    records = load_results(_campaign_log(tmp_path))[1]
+    for field in ("status", "method"):
+        values = [getattr(record, field) for record in records]
+        assert len(values) > 10 * len(set(values))
+        assert len({id(value) for value in values}) == len(set(values)), field
 
 
 # an edge line's fields as their JSON text, in the writer's key order, on the
@@ -1177,7 +1186,7 @@ def test_edge_lines_read_as_json_and_result_record_read_them(tmp_path, capsys, c
     if isinstance(expected, str):
         message = f"{path}:3: {expected}"
         with pytest.raises(ValueError) as caught:
-            list(iter_records(path))
+            list(iter_rows(path))
         assert str(caught.value) == message
         for argv in (
             ["report", "--results", path],
@@ -1190,7 +1199,7 @@ def test_edge_lines_read_as_json_and_result_record_read_them(tmp_path, capsys, c
         return
 
     records = [*base, expected]
-    assert _typed(iter_records(path)) == _typed(records)
+    assert _typed(ResultRecord(*row) for row in iter_rows(path)) == _typed(records)
     assert _cli(["report", "--results", path], capsys) == (0, render(summarize(records)), "")
     assert _cli(["report", "--results", path, "--histogram"], capsys) == (
         0, render(histogram(records)), ""
@@ -1213,23 +1222,32 @@ def test_a_line_that_is_not_utf_8_is_an_error_naming_it(tmp_path, capsys):
     good = lambda lhs, rhs: runner._record_line(
         ResultRecord(lhs, rhs, UNSOLVED, None, None, 0.5, None)
     ).encode()
+
+    def decoding(line):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as err:
+            return str(err)
+
     bad = good(2, 1).replace(b'"method": null', b'"method": "caf\xe9"')
-    try:
-        bad.decode("utf-8")
-    except UnicodeDecodeError as err:
-        decoding = str(err)
-    assert f"position {bad.index(0xE9)}:" in decoding  # counted within the line
+    assert f"position {bad.index(0xE9)}:" in decoding(bad)  # counted within the line
+    # a line in the writer's form but for the byte, whose witness json's
+    # string scanner would read with the byte as a lone surrogate
+    witnessed = runner._record_line(ResultRecord(2, 1, UNSOLVED, None, None, 0.5, "step e"))
+    bad_witness = witnessed.encode().replace(b"step e", b"step \xe9")
+    assert runner._ROW.match(bad_witness.decode("utf-8", "surrogateescape"))
     before = b"".join(good(1, rhs) for rhs in range(2, 60))  # in the same decoded chunk
     log = tmp_path / "out.jsonl"
     path = str(log)
     for text, message in (
-        (before + bad + good(2, 3), f"{path}:59: {decoding}"),
+        (before + bad + good(2, 3), f"{path}:59: {decoding(bad)}"),
+        (before + bad_witness + good(2, 3), f"{path}:59: {decoding(bad_witness)}"),
         # a format error before the line is still the first one reported
         (good(1, 2) + before + bad, f"{path}:2: duplicate record for pair (1, 2) (first at line 1)"),
     ):
         log.write_bytes(text)
         with pytest.raises(ValueError) as caught:
-            list(iter_records(path))
+            list(iter_rows(path))
         assert str(caught.value) == message
         for argv in (["report", "--results", path], ["closure", "--results", path]):
             assert _cli(argv, capsys) == (1, "", f"error: {message}\n")
