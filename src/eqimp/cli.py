@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .closure import PROVEN, ConsistencyError, propagate
+from .closure import DERIVED_PREFIX, PROVEN, ConsistencyError, propagate
 from .models import eval_term, parse_countermodel, verify_equation
 from .report import FORMAT_CSV, FORMAT_TABLE, histogram, render, summarize
 from .runner import (
@@ -126,7 +126,7 @@ def _cmd_report(args) -> int:
 
 
 def _is_derived(method: str | None) -> bool:
-    return (method or "").startswith("closure:")
+    return (method or "").startswith(DERIVED_PREFIX)
 
 
 def _check_witness(corpus, record) -> tuple[bool, str | None]:

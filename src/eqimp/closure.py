@@ -11,9 +11,9 @@ and violating C also satisfies B (by A->B), so it separates B from C; and a
 magma separating A from C cannot satisfy B, else B->C would force C.
 
 Propagation runs as a worklist over the decided pairs, never rescanning the
-whole map.  Ids are non-negative ints, and every neighbour set is an int
-bitset (bit i for id i): a row per law of the pairs it is the premise of, a
-column per law of the pairs it is the conclusion of.  A rule applied to a
+whole map.  Ids run from 0 to ROW_BITS - 1, and every neighbour set is an
+int bitset (bit i for id i): a row per law of the pairs it is the premise
+of, a column per law of the pairs it is the conclusion of.  A rule applied to a
 popped pair is a mask over one row or column, so pairs already decided cost
 one bitwise and, not an entry each.  A derived pair is one bit in its rule's
 row bitsets and one slot in flat arrays of pair codes, rules and the laws its
@@ -24,6 +24,8 @@ both justifications.
 Unsolved pairs are simply absent from the map.  A results log's statuses
 arrive as a StatusMap, one row bitset per law for each distinct (status,
 method) entry, so neither the input nor the result holds an object per pair.
+A log's reader rejects a law id past ROW_BITS - 1, and propagate rejects one
+in any other map, so no bitset grows past ROW_BITS bits.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ REFUTED = "refuted"
 
 Pair = tuple[int, int]
 
-# a status map keeps pairs whose rhs is below this as bits of a row bitset;
-# the rare pair past it gets a dict entry, so a stray huge id in a log cannot
-# make one row's int as large as the id
+# law ids run from 0 to ROW_BITS - 1 (a log's from 1), so a row or column
+# bitset holds at most ROW_BITS bits and lhs * ROW_BITS + rhs codes a pair
 ROW_BITS = 1 << 16
+
+# the method prefix of the records closure derives, which no stage may take
+DERIVED_PREFIX = "closure:"
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,9 @@ class StatusEntry:
 # each rule's shared entry, by rule index, and its premises of a pair (x, y)
 # derived via law m
 _RULES = (
-    StatusEntry(PROVEN, "closure:R1"),
-    StatusEntry(REFUTED, "closure:R2"),
-    StatusEntry(REFUTED, "closure:R3"),
+    StatusEntry(PROVEN, f"{DERIVED_PREFIX}R1"),
+    StatusEntry(REFUTED, f"{DERIVED_PREFIX}R2"),
+    StatusEntry(REFUTED, f"{DERIVED_PREFIX}R3"),
 )
 _PREMISES = (
     lambda x, y, m: ((x, m), (m, y)),
@@ -93,43 +97,34 @@ class StatusMap(Mapping):
     """A read-only map of decided pairs to their StatusEntry, as a results log
     fills it: one row bitset per law for each distinct (status, provenance)
     entry, of which a log holds few, so a pair costs one bit, not a dict
-    entry.  Iterates entry by entry, each entry's pairs in (lhs, rhs) order."""
+    entry.  Its ids are below ROW_BITS, as a log's reader checks.  Iterates
+    entry by entry, each entry's pairs in (lhs, rhs) order."""
 
-    def __init__(self, rows=(), wide=None):
+    def __init__(self, rows=()):
         # (status, provenance) -> (its entry, lhs -> bitset of rhs)
         self._rows: dict[tuple[str, str], tuple[StatusEntry, dict[int, int]]] = dict(rows)
-        self._wide: dict[Pair, StatusEntry] = wide or {}  # pairs whose rhs is past ROW_BITS
-        self._len = len(self._wide) + sum(
-            bits.bit_count() for _, row in self._rows.values() for bits in row.values()
-        )
+        self._len = sum(bits.bit_count() for _, row in self._rows.values() for bits in row.values())
 
     def add(self, lhs: int, rhs: int, status: str, provenance: str) -> None:
         """Put a pair the map does not hold yet (a log's reader checks that)."""
         shared = self._rows.get((status, provenance))
         if shared is None:
             shared = self._rows[(status, provenance)] = (StatusEntry(status, provenance), {})
-        entry, row = shared
-        if rhs < ROW_BITS:
-            row[lhs] = row.get(lhs, 0) | 1 << rhs
-        else:
-            self._wide[(lhs, rhs)] = entry
+        row = shared[1]
+        row[lhs] = row.get(lhs, 0) | 1 << rhs
         self._len += 1
 
     def where(self, keep) -> StatusMap:
         """The pairs whose entry passes keep, sharing this map's rows."""
-        return StatusMap(
-            ((key, shared) for key, shared in self._rows.items() if keep(shared[0])),
-            {pair: entry for pair, entry in self._wide.items() if keep(entry)},
-        )
+        return StatusMap((key, shared) for key, shared in self._rows.items() if keep(shared[0]))
 
     def get(self, pair: Pair, default=None):
         lhs, rhs = pair
-        if 0 <= rhs < ROW_BITS:
+        if rhs >= 0:
             for entry, row in self._rows.values():
                 if row.get(lhs, 0) >> rhs & 1:
                     return entry
-            return default
-        return self._wide.get(pair, default)
+        return default
 
     def __getitem__(self, pair: Pair) -> StatusEntry:
         entry = self.get(pair)
@@ -145,7 +140,6 @@ class StatusMap(Mapping):
             for lhs in sorted(row):
                 for rhs in _bits(row[lhs]):
                     yield lhs, rhs
-        yield from self._wide
 
     def __len__(self) -> int:
         return self._len
@@ -162,13 +156,12 @@ class ClosedMap(Mapping):
     premises included, on lookup.
 
     A derived pair is a bit in its rule's row bitsets and one slot of three
-    flat arrays in derivation order: its code lhs * width + rhs (width is one
-    past the input's highest id), its rule, and the law its premises share."""
+    flat arrays in derivation order: its code lhs * ROW_BITS + rhs, its rule,
+    and the law its premises share."""
 
-    def __init__(self, statuses: Mapping[Pair, StatusEntry], width: int):
+    def __init__(self, statuses: Mapping[Pair, StatusEntry]):
         # a StatusMap or ClosedMap cannot change under it; any other map is copied
         self._input = statuses if isinstance(statuses, (StatusMap, ClosedMap)) else dict(statuses)
-        self._width = width
         self._codes = array("q")
         self._rules = bytearray()  # an index into _RULES
         self._middles = array("q")
@@ -196,7 +189,7 @@ class ClosedMap(Mapping):
                 array("q", (self._middles[i] for i in order)),
             )
         ordered, middles = self._by_code
-        return middles[bisect_left(ordered, pair[0] * self._width + pair[1])]
+        return middles[bisect_left(ordered, pair[0] * ROW_BITS + pair[1])]
 
     def get(self, pair: Pair, default=None):
         entry = self._input.get(pair)
@@ -220,9 +213,8 @@ class ClosedMap(Mapping):
 
     def __iter__(self):
         yield from self._input
-        width = self._width
         for code in self._codes:
-            yield divmod(code, width)
+            yield divmod(code, ROW_BITS)
 
     def __len__(self) -> int:
         return len(self._input) + len(self._codes)
@@ -232,9 +224,8 @@ class ClosedMap(Mapping):
 
     def _items(self):
         yield from self._input.items()
-        width = self._width
         for code, k, middle in zip(self._codes, self._rules, self._middles):
-            pair = divmod(code, width)
+            pair = divmod(code, ROW_BITS)
             yield pair, self._entry(pair, k, middle)
 
     def derived(self):
@@ -251,9 +242,12 @@ class ClosedMap(Mapping):
 def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
     """Least fixpoint of R1-R3 over the input map; the input is not mutated.
 
-    Ids are non-negative ints.  The worklist pops each decided pair once, the
-    input's in sorted order first, then the derived ones in the order they
-    were derived.  Each rule combines the popped pair with a bitset row or
+    Ids run from 0 to ROW_BITS - 1: a StatusMap's rows are taken as they
+    are (a log's reader bounds their ids), and any other map's pairs are
+    checked, a pair with an id outside that range raising a ValueError that
+    names it.  The worklist pops each decided pair once, the input's in
+    sorted order first, then the derived ones in the order they were
+    derived.  Each rule combines the popped pair with a bitset row or
     column of its popped neighbours into a mask of candidate pairs.
     Candidates already decided the same way are skipped; the fresh ones are
     added in ascending id order, as a loop over the sorted neighbours would
@@ -264,16 +258,17 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
     over the sorted neighbours would meet."""
     # the input's pairs, per status, by row: a StatusMap hands over its rows
     given: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
-    pending = statuses.items()
     if isinstance(statuses, StatusMap):
         for entry, entry_rows in statuses._rows.values():
             row = given[entry.status]
             for a, bits in entry_rows.items():
                 row[a] = row.get(a, 0) | bits
-        pending = statuses._wide.items()
-    for (a, b), entry in pending:
-        row = given[entry.status]
-        row[a] = row.get(a, 0) | 1 << b
+    else:
+        for (a, b), entry in statuses.items():
+            if not (0 <= a < ROW_BITS and 0 <= b < ROW_BITS):
+                raise ValueError(f"pair {(a, b)} names an id outside 0..{ROW_BITS - 1}")
+            row = given[entry.status]
+            row[a] = row.get(a, 0) | 1 << b
     # the pairs decided in result, per status, by row and by column
     rows = {status: dict(row) for status, row in given.items()}
     cols: dict[str, dict[int, int]] = {PROVEN: {}, REFUTED: {}}
@@ -283,11 +278,7 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
             bit = 1 << a
             for b in _bits(bits):
                 col[b] = col.get(b, 0) | bit
-    width = 1 + max(
-        (max(a, bits.bit_length() - 1) for row in given.values() for a, bits in row.items()),
-        default=0,
-    )
-    result = ClosedMap(statuses, width)
+    result = ClosedMap(statuses)
     codes, rules, middles, rule_rows = (
         result._codes, result._rules, result._middles, result._rule_rows
     )
@@ -323,7 +314,7 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
         if in_row:
             row[fixed] = row.get(fixed, 0) | fresh
             rule_row[fixed] = rule_row.get(fixed, 0) | fresh
-            base = fixed * width
+            base = fixed * ROW_BITS
             for v in _bits(fresh):
                 col[v] = col.get(v, 0) | bit
                 codes.append(base + v)
@@ -332,7 +323,7 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
             for v in _bits(fresh):
                 row[v] = row.get(v, 0) | bit
                 rule_row[v] = rule_row.get(v, 0) | bit
-                codes.append(v * width + fixed)
+                codes.append(v * ROW_BITS + fixed)
         count = fresh.bit_count()
         rules.extend(repeat(k, count))
         middles.extend(repeat(middle, count))
@@ -364,7 +355,7 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
             pop(a, b, bool(proven >> b & 1))
     index = 0
     while index < len(codes):
-        a, b = divmod(codes[index], width)
+        a, b = divmod(codes[index], ROW_BITS)
         pop(a, b, rules[index] == 0)
         index += 1
     return result

@@ -50,7 +50,7 @@ from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 
 from .budget import Budget
-from .closure import PROVEN, REFUTED, ROW_BITS, StatusMap, propagate
+from .closure import DERIVED_PREFIX, PROVEN, REFUTED, ROW_BITS, StatusMap, propagate
 from .models import FOUND, find_countermodels, format_countermodel
 from .models import find_countermodel  # noqa: F401 - the benchmark's traced pass wraps it here
 from .saturation import PROVED, SATURATED, format_proof, saturate, saturate_many
@@ -85,7 +85,7 @@ class MethodSpec:
     def __post_init__(self):
         if self.engine not in (ENGINE_FMB, ENGINE_SATUR):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.name.startswith("closure:"):
+        if self.name.startswith(DERIVED_PREFIX):
             # verify takes such records for closure's and re-derives them
             raise ValueError(f"stage name {self.name!r} is kept for derived records")
         amount = self.budget.steps if self.budget.steps is not None else self.budget.seconds
@@ -456,7 +456,10 @@ def run(corpus: Corpus, schedule: Schedule, config: RunConfig) -> list[ResultRec
     Premise groups are attempted in this process; with workers > 1 the groups
     not finished POOL_AFTER seconds in go to spawned worker processes, so a
     script that calls this needs the usual ``if __name__ == "__main__":``
-    guard."""
+    guard.  A corpus with more laws than a log's reader admits is refused
+    before the log is opened."""
+    if corpus.count >= ROW_BITS:
+        raise ValueError(f"law ids run to {ROW_BITS - 1}, but the corpus has {corpus.count} laws")
     done: dict[tuple[int, int], ResultRecord] = {}
     if config.resume and os.path.exists(config.out_path):
         _, previous = load_results(config.out_path, drop_torn_tail=True, laws=corpus.count)
@@ -566,8 +569,9 @@ def iter_rows(
     _record_line writes it is read by one pattern, any other by json.loads;
     both give the same row.  With drop_torn_tail, an unparsable final line
     without its newline (a write cut short by a killed run) is skipped.
-    With laws, the size of the corpus the log should belong to, a record
-    naming a higher id is an error too."""
+    A record naming a law id past ROW_BITS - 1 is an error too, and so,
+    with laws, the size of the corpus the log should belong to, is one
+    naming a higher id."""
     return _scan(path, drop_torn_tail, laws, None)
 
 
@@ -586,10 +590,10 @@ def _scan(
     """iter_rows' generator; with forms it also appends the flags of each
     line read.  A line _ROW matches is read by _row, any other, and one _row
     leaves, by json.loads and _row_from_dict."""
-    # the pairs read so far: one int bitset of rhs ids per lhs, and a set for
-    # the rare pair whose rhs is too large for a bitset
+    # the pairs read so far: one int bitset of rhs ids per lhs, each id at
+    # most limit, so no bitset grows past ROW_BITS bits
     seen: dict[int, int] = {}
-    wide: set[tuple[int, int]] = set()
+    limit = ROW_BITS - 1 if laws is None else min(laws, ROW_BITS - 1)
     match_row, row_of, ints = _ROW.match, _row, _Ints()
     # a byte that is not UTF-8 is read as a lone surrogate, and decoding its
     # line strictly again raises the decoder's error, a ValueError, for that
@@ -621,23 +625,20 @@ def _scan(
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
             lhs, rhs = row[0], row[1]
-            if laws is not None and max(lhs, rhs) > laws:
-                raise ValueError(
-                    f"{path}:{lineno}: pair {(lhs, rhs)} names law {max(lhs, rhs)}, "
-                    f"but the corpus has {laws} laws"
+            if lhs > limit or rhs > limit:
+                law = max(lhs, rhs)
+                bound = (
+                    f"the corpus has {laws} laws" if laws is not None and law > laws
+                    else f"law ids run to {ROW_BITS - 1}"
                 )
-            if rhs < ROW_BITS:
-                bits = seen.get(lhs, 0)
-                repeated = bits >> rhs & 1
-                seen[lhs] = bits | 1 << rhs
-            else:
-                repeated = (lhs, rhs) in wide
-                wide.add((lhs, rhs))
-            if repeated:
+                raise ValueError(f"{path}:{lineno}: pair {(lhs, rhs)} names law {law}, but {bound}")
+            bits = seen.get(lhs, 0)
+            if bits >> rhs & 1:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
                     f"(first at line {_first_line(path, (lhs, rhs))})"
                 )
+            seen[lhs] = bits | 1 << rhs
             if forms is not None:
                 # _ROW fixes every field's text but seconds' and the witness's;
                 # a null witness ends the line

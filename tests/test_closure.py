@@ -8,6 +8,7 @@ from conftest import oracle_countermodel_exists
 from eqimp.closure import (
     PROVEN,
     REFUTED,
+    ROW_BITS,
     ConsistencyError,
     StatusEntry,
     propagate,
@@ -139,6 +140,14 @@ def test_input_not_mutated():
 def test_status_entry_validation():
     with pytest.raises(ValueError, match="status"):
         StatusEntry("maybe", "fmb-500i")
+
+
+def test_ids_outside_the_bitset_range_are_rejected():
+    # a pair's bit would make its row's int as wide as the id
+    with pytest.raises(ValueError, match=r"^pair \(1, 65536\) names an id outside 0\.\.65535$"):
+        propagate({(1, ROW_BITS): direct(PROVEN)})
+    with pytest.raises(ValueError, match=r"^pair \(-1, 2\) "):
+        propagate({(-1, 2): direct(REFUTED)})
 
 
 # --- properties ------------------------------------------------------------------

@@ -66,7 +66,7 @@ from eqimp.saturation import (
     parse_proof,
     replay_proof,
 )
-from eqimp.terms import enumerate_pairs, load_corpus
+from eqimp.terms import Corpus, enumerate_pairs, load_corpus
 from eqimp.tptp import skolemize
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -983,15 +983,14 @@ def test_closure_renders_each_kept_line_as_the_writer_does(tmp_path):
     assert written == [runner._record_line(record) for record in again]
 
 
-def test_pairs_past_the_bitset_width_load_and_close(tmp_path):
-    # a law id past closure.ROW_BITS keeps its pairs out of the row bitsets
-    wide = closure.ROW_BITS + 4
+def test_a_log_naming_the_largest_law_id_loads_and_closes(tmp_path):
+    top = closure.ROW_BITS - 1
     rows = [
         {"lhs": 1, "rhs": 2, "status": PROVEN, "method": "satur-500i", "stage": 2,
          "seconds": 0.5, "witness": "p"},
-        {"lhs": 2, "rhs": wide, "status": PROVEN, "method": "satur-500i", "stage": 2,
+        {"lhs": 2, "rhs": top, "status": PROVEN, "method": "satur-500i", "stage": 2,
          "seconds": 0.5, "witness": "q"},
-        {"lhs": 1, "rhs": wide + 1, "status": REFUTED, "method": "fmb-500i", "stage": 1,
+        {"lhs": 1, "rhs": top - 1, "status": REFUTED, "method": "fmb-500i", "stage": 1,
          "seconds": 0.5, "witness": "cm"},
         {"lhs": 3, "rhs": 1, "status": UNSOLVED, "method": None, "stage": None,
          "seconds": 0.5, "witness": None},
@@ -1001,19 +1000,58 @@ def test_pairs_past_the_bitset_width_load_and_close(tmp_path):
     status_map, _ = load_results(str(out))
     assert dict(status_map.items()) == {
         (1, 2): StatusEntry(PROVEN, "satur-500i"),
-        (2, wide): StatusEntry(PROVEN, "satur-500i"),
-        (1, wide + 1): StatusEntry(REFUTED, "fmb-500i"),
+        (2, top): StatusEntry(PROVEN, "satur-500i"),
+        (1, top - 1): StatusEntry(REFUTED, "fmb-500i"),
     }
-    assert (3, 1) not in status_map and (wide, 2) not in status_map
+    assert (3, 1) not in status_map and (top, 2) not in status_map
     assert dict(status_map.where(lambda entry: entry.status == REFUTED).items()) == {
-        (1, wide + 1): StatusEntry(REFUTED, "fmb-500i")
+        (1, top - 1): StatusEntry(REFUTED, "fmb-500i")
     }
-    # R1 derives (1, wide), then R2 (2, wide + 1) and (wide, wide + 1)
+    # R1 derives (1, top), then R2 (2, top - 1) and (top, top - 1)
     assert propagate_log(str(out)) == 3
     _, records = load_results(str(out))
     assert [(r.lhs, r.rhs, r.method) for r in records[-3:]] == [
-        (1, wide, "closure:R1"), (2, wide + 1, "closure:R2"), (wide, wide + 1, "closure:R2")
+        (1, top, "closure:R1"), (2, top - 1, "closure:R2"), (top, top - 1, "closure:R2")
     ]
+
+
+@pytest.mark.parametrize("law", [closure.ROW_BITS, 10**12])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_a_law_id_past_the_bound_is_an_error_naming_its_line(tmp_path, capsys, law, side):
+    # a bitset as wide as the id is never built: 10**12 bits would take 125 GB
+    pair = {"lhs": law, "rhs": 1} if side == "lhs" else {"lhs": 1, "rhs": law}
+    rows = [
+        {"lhs": 1, "rhs": 2, "status": PROVEN, "method": "satur-500i", "stage": 2,
+         "seconds": 0.5, "witness": "p"},
+        {**pair, "status": PROVEN, "method": "satur-500i", "stage": 2,
+         "seconds": 0.5, "witness": None},
+    ]
+    log = tmp_path / "out.jsonl"
+    _write_log(log, rows)
+    before = log.read_bytes()
+    path = str(log)
+    message = (
+        f"{path}:2: pair {(pair['lhs'], pair['rhs'])} names law {law}, "
+        f"but law ids run to {closure.ROW_BITS - 1}"
+    )
+    with pytest.raises(ValueError) as caught:
+        load_results(path)
+    assert str(caught.value) == message
+    for argv in (["report", "--results", path], ["closure", "--results", path]):
+        assert _cli(argv, capsys) == (1, "", f"error: {message}\n")
+    assert log.read_bytes() == before
+    # with a corpus, the corpus names the bound
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:2: .* but the corpus has 2 laws$"):
+        load_results(path, laws=2)
+
+
+def test_run_refuses_a_corpus_past_the_bound_before_creating_the_log(tmp_path):
+    law = load_corpus(str(DATA / "desk.eqs")).equations[0]
+    corpus = Corpus((law,) * closure.ROW_BITS)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError, match="law ids run to 65535, but the corpus has 65536 laws"):
+        run(corpus, default_schedule(), RunConfig(str(out)))
+    assert not out.exists()
 
 
 def _campaign_log(tmp_path):
