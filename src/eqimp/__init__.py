@@ -9,18 +9,29 @@ the results under implication transitivity, and reports summary tables and
 runtime histograms.
 """
 
-from .models import FOUND, find_countermodel
-from .saturation import PROVED, replay_proof, saturate, saturate_many
-from .terms import parse_equation
-from .tptp import skolemize
+import importlib
 
-__all__ = [
-    "FOUND",
-    "PROVED",
-    "find_countermodel",
-    "parse_equation",
-    "replay_proof",
-    "saturate",
-    "saturate_many",
-    "skolemize",
-]
+# each name the package exports, by the module that defines it; a name is
+# imported when first asked for, so "import eqimp" loads no submodule and a
+# command loads only the modules it runs
+_EXPORTS = {
+    "FOUND": "models",
+    "PROVED": "saturation",
+    "find_countermodel": "models",
+    "parse_equation": "terms",
+    "replay_proof": "saturation",
+    "saturate": "saturation",
+    "saturate_many": "saturation",
+    "skolemize": "tptp",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,24 +9,42 @@ closure record the log's other records do not derive).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from .closure import DERIVED_PREFIX, PROVEN, ConsistencyError, propagate
-from .models import eval_term, parse_countermodel, verify_equation
-from .report import FORMAT_CSV, FORMAT_TABLE, histogram, render, summarize
-from .runner import (
-    UNSOLVED,
-    RunConfig,
-    default_schedule,
-    iter_rows,
-    load_results,
-    load_schedule,
-    propagate_log,
-)
-from .runner import run as run_schedule
-from .saturation import parse_proof, replay_proof
-from .terms import enumerate_pairs, load_corpus, pair_count
-from .tptp import export_directory, skolemize
+# the package's names the commands use, by module.  A command imports only
+# the modules it runs (_COMMANDS) and binds their names here on first use,
+# so closure and report never load an engine and pairs loads terms alone.
+_NAMES = {
+    "closure": ("DERIVED_PREFIX", "PROVEN", "propagate"),
+    "log": ("UNSOLVED", "iter_rows", "load_results", "propagate_log"),
+    "models": ("eval_term", "parse_countermodel", "verify_equation"),
+    "report": ("histogram", "render", "summarize"),
+    "runner": ("RunConfig", "default_schedule", "load_schedule", "run"),
+    "saturation": ("parse_proof", "replay_proof"),
+    "terms": ("enumerate_pairs", "load_corpus", "pair_count"),
+    "tptp": ("export_directory", "skolemize"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import the module and bind the names this one uses from it, keeping a
+    binding already there, such as a wrapper set from outside."""
+    source = importlib.import_module(f".{module}", __package__)
+    namespace = globals()
+    for name in _NAMES[module]:
+        namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    # consulted for lookups from outside only, not for this module's own
+    # global names, so main binds a command's modules before running it
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 class _UsageError(Exception):
@@ -64,7 +82,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="summarize a results log")
     p.add_argument("--results", required=True)
-    p.add_argument("--format", choices=[FORMAT_TABLE, FORMAT_CSV], default=FORMAT_TABLE)
+    # report's FORMAT_TABLE and FORMAT_CSV, spelt out so that parsing loads no report
+    p.add_argument("--format", choices=["table", "csv"], default="table")
     p.add_argument("--histogram", action="store_true", help="solve-time histogram instead")
 
     p = sub.add_parser("verify", help="re-check every witness in a results log")
@@ -106,7 +125,7 @@ def _cmd_run(args) -> int:
     else:
         schedule = load_schedule(args.schedule)
     config = RunConfig(args.out, workers=args.jobs, resume=args.resume)
-    records = run_schedule(corpus, schedule, config)
+    records = run(corpus, schedule, config)
     undecided = sum(1 for record in records if record.status == UNSOLVED)
     print(f"{len(records)} pairs: {len(records) - undecided} decided, {undecided} unsolved")
     return 0
@@ -200,13 +219,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "pairs": _cmd_pairs,
-    "export-tptp": _cmd_export_tptp,
-    "run": _cmd_run,
-    "closure": _cmd_closure,
-    "report": _cmd_report,
-    "verify": _cmd_verify,
+# each command and the modules of _NAMES it runs
+_COMMANDS = {
+    "pairs": (_cmd_pairs, ("terms",)),
+    "export-tptp": (_cmd_export_tptp, ("terms", "tptp")),
+    "run": (_cmd_run, ("terms", "log", "runner")),
+    "closure": (_cmd_closure, ("log",)),
+    "report": (_cmd_report, ("log", "report")),
+    "verify": (_cmd_verify, ("terms", "closure", "log", "models", "saturation", "tptp")),
 }
 
 
@@ -214,14 +234,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        command, modules = _COMMANDS[args.command]
+        for module in modules:
+            _bind(module)
+        return command(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ConsistencyError as err:
-        print(f"inconsistent results: {err}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
+        # a ConsistencyError is raised by closure, which the command then loaded
+        closure = sys.modules.get(f"{__package__}.closure")
+        if closure is not None and isinstance(err, closure.ConsistencyError):
+            print(f"inconsistent results: {err}", file=sys.stderr)
+            return 2
         print(f"error: {err}", file=sys.stderr)
         return 1
 

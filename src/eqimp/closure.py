@@ -291,11 +291,8 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
 
     def derive(mask: int, fixed: int, in_row: bool, k: int, middle: int):
         """Derive rule k's status for (fixed, v) if in_row, else (v, fixed),
-        for each bit v of mask, from premises sharing law middle."""
-        # reflexive facts are trivial and never recorded
-        mask &= ~(1 << fixed)
-        if not mask:
-            return
+        for each bit v of mask, from premises sharing law middle; mask is
+        not 0 and lacks fixed's own bit."""
         status = _RULES[k].status
         lines = rows if in_row else cols
         clash = mask & lines[REFUTED if status == PROVEN else PROVEN].get(fixed, 0)
@@ -329,22 +326,31 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
         middles.extend(repeat(middle, count))
 
     def pop(a: int, b: int, proven: bool):
+        # each rule's mask less the fixed law's own bit, since reflexive facts
+        # are trivial and never recorded; derive runs on a mask with a bit left
+        not_a, not_b = ~(1 << a), ~(1 << b)
         if proven:
             proven_out[a] = proven_out.get(a, 0) | 1 << b
             proven_in[b] = proven_in.get(b, 0) | 1 << a
             # R1, with (a,b) as either premise
-            derive(proven_out.get(b, 0), a, True, 0, b)
-            derive(proven_in.get(a, 0), b, False, 0, a)
+            if mask := proven_out.get(b, 0) & not_a:
+                derive(mask, a, True, 0, b)
+            if mask := proven_in.get(a, 0) & not_b:
+                derive(mask, b, False, 0, a)
             # R2: (a,b) proven, (a,c) refuted  =>  (b,c) refuted
-            derive(refuted_out.get(a, 0), b, True, 1, a)
+            if mask := refuted_out.get(a, 0) & not_b:
+                derive(mask, b, True, 1, a)
             # R3: (a,b) proven, (z,b) refuted  =>  (z,a) refuted
-            derive(refuted_in.get(b, 0), a, False, 2, b)
+            if mask := refuted_in.get(b, 0) & not_a:
+                derive(mask, a, False, 2, b)
         else:
             refuted_out[a] = refuted_out.get(a, 0) | 1 << b
             refuted_in[b] = refuted_in.get(b, 0) | 1 << a
             # here (a,b) is the refuted premise A-/->C with A=a, C=b
-            derive(proven_out.get(a, 0), b, False, 1, a)
-            derive(proven_in.get(b, 0), a, True, 2, b)
+            if mask := proven_out.get(a, 0) & not_b:
+                derive(mask, b, False, 1, a)
+            if mask := proven_in.get(b, 0) & not_a:
+                derive(mask, a, True, 2, b)
 
     # the worklist: the input's pairs in sorted order, then each derived pair
     # in the order it was derived, which is the order of the arrays

@@ -1,0 +1,386 @@
+"""The results log: one JSON line per decided or attempted pair.
+
+A record has seven fields, written in this order: lhs, rhs, status, method,
+stage, seconds and witness.  _record_line renders a record exactly as
+json.dumps(vars(record)) does, and iter_rows is the log's only reader: it
+checks every line as it reads it and yields each record as a Row.  A line in
+the writer's form is read by one whole-line pattern, any other by json.loads;
+both give the same row.  load_results folds the rows into closure's status
+map, and propagate_log closes a log in place.  Nothing here runs an engine.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+import os
+import re
+from collections import namedtuple
+from collections.abc import Iterator
+from dataclasses import dataclass
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
+
+from .closure import PROVEN, REFUTED, ROW_BITS, StatusMap, propagate
+
+UNSOLVED = "unsolved"
+
+CLOSURE_STAGE = 0  # derived records sit outside the schedule's 1-based stages
+
+# Treated as immutable: nothing assigns to a record's fields once built.  It is
+# not frozen because a frozen __init__ sets each field through
+# object.__setattr__, about half the cost of building a record, and a log holds
+# one per ordered pair; it stays a dataclass for dataclasses.replace.
+@dataclass(slots=True)
+class ResultRecord:
+    lhs: int
+    rhs: int
+    status: str  # PROVEN | REFUTED | UNSOLVED
+    method: str | None
+    stage: int | None
+    seconds: float
+    witness: str | None
+
+    def __post_init__(self):
+        if self.status not in (PROVEN, REFUTED, UNSOLVED):
+            raise ValueError(f"unknown status {self.status!r}")
+        if self.status != UNSOLVED and (self.method is None or self.stage is None):
+            raise ValueError("decided records need method and stage")
+        # closure keys its bitsets by id, and JSON admits floats, booleans and
+        # NaN where an int or a finite number belongs
+        if type(self.lhs) is not int or type(self.rhs) is not int:
+            raise ValueError("lhs and rhs must be ints")
+        if self.lhs < 1 or self.rhs < 1 or self.lhs == self.rhs:
+            raise ValueError("lhs and rhs must be distinct positive ids")
+        if self.stage is not None and (type(self.stage) is not int or self.stage < 0):
+            raise ValueError("stage must be a nonnegative int")
+        if type(self.seconds) not in (int, float) or not 0 <= self.seconds < math.inf:
+            raise ValueError("seconds must be finite and nonnegative")
+        if self.method is not None and type(self.method) is not str:
+            raise ValueError("method must be a string")
+        if self.witness is not None and type(self.witness) is not str:
+            raise ValueError("witness must be a string")
+
+
+
+_RECORD_KEYS = ("lhs", "rhs", "status", "method", "stage", "seconds", "witness")
+_KEY_SET = frozenset(_RECORD_KEYS)
+# a record's fields as the log reader yields them, with every check of
+# ResultRecord made; a tuple costs a fraction of a ResultRecord to build
+Row = namedtuple("Row", _RECORD_KEYS)
+
+
+def _record_line(record: ResultRecord | Row) -> str:
+    """The record as json.dumps(vars(record)) writes it, keys in _RECORD_KEYS
+    order: strings escaped to ASCII by json's own encoder, numbers as repr
+    prints them (ResultRecord admits no bool, NaN or infinity)."""
+    method, stage, witness = record.method, record.stage, record.witness
+    return (
+        f'{{"lhs": {record.lhs!r}, "rhs": {record.rhs!r}, '
+        f'"status": {encode_basestring_ascii(record.status)}, '
+        f'"method": {"null" if method is None else encode_basestring_ascii(method)}, '
+        f'"stage": {"null" if stage is None else repr(stage)}, '
+        f'"seconds": {record.seconds!r}, '
+        f'"witness": {"null" if witness is None else encode_basestring_ascii(witness)}}}\n'
+    )
+
+
+# A whole line as _record_line writes it, admitting only what ResultRecord
+# admits but for three checks _row makes: lhs differs from rhs, a decided
+# record has a method and a stage, and seconds is finite.  Ids and stage are
+# JSON ints without a sign, status one of the three, method made only of
+# characters JSON prints unescaped, seconds with a point or an exponent as
+# float's repr prints it (json.loads reads an integral seconds as an int, so
+# that line is left to it).  The line ends at a null witness; a witness
+# string, last and long, is left to json's string scanner after its opening
+# quote.
+_ID = r"[1-9][0-9]*"
+_PLAIN = r"[ !#-\[\]-~]*"
+_ROW = re.compile(
+    rf'\{{"lhs": ({_ID}), "rhs": ({_ID}), "status": "(proven|refuted|unsolved)", '
+    rf'"method": (?:null|"({_PLAIN})"), "stage": (null|0|{_ID}), '
+    rf'"seconds": ((?:0|{_ID})(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)), '
+    r'"witness": (?:(null\}\n?)\Z|")'
+)
+
+
+class _Ints(dict):
+    """The value of each id or stage text of the lines read (None for a null
+    stage), converted once: a log names each law on many lines."""
+
+    def __init__(self):
+        super().__init__(null=None)
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
+def _row(line: str, match: re.Match, ints: _Ints) -> Row | None:
+    """The row of a line _ROW matches, as json.loads and ResultRecord read it.
+    None when its numbers or witness do not convert (a digit count past int's
+    limit, a bad escape) or the line goes on past its witness, so that
+    json.loads reports it; a record ResultRecord rejects raises its error."""
+    lhs, rhs, status, method, stage, seconds, null = match.groups()
+    try:
+        if null is None:
+            witness, end = scanstring(line, match.end())
+            if line[end:] not in ("}\n", "}"):
+                return None
+        else:
+            witness = None
+        # Row(...) would go through namedtuple's __new__, written in Python
+        row = tuple.__new__(
+            Row, (ints[lhs], ints[rhs], status, method, ints[stage], float(seconds), witness)
+        )
+    except ValueError:
+        return None
+    if lhs == rhs or row[5] == math.inf or status != UNSOLVED and (method is None or stage == "null"):
+        ResultRecord(*row)  # raises with the message of the check it fails
+    return row
+
+
+def _write_log(path: str, lines) -> None:
+    """Replace the log with these lines, each a record as _record_line writes
+    it, in one rename, so a run killed mid-write leaves the previous log
+    intact."""
+    temporary = f"{path}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
+
+
+def _ends_with_newline(path: str) -> bool:
+    """Whether the file is empty or its last line is complete, so records can
+    be appended to it."""
+    with open(path, "rb") as handle:
+        if handle.seek(0, os.SEEK_END) == 0:
+            return True
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) == b"\n"
+
+
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would keep the last of repeated keys; a record may not repeat one
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"repeated key {key!r}")
+        payload[key] = value
+    return payload
+
+
+def _row_from_dict(payload) -> Row:
+    if not isinstance(payload, dict):
+        raise ValueError("record must be an object")
+    if payload.keys() != _KEY_SET:
+        raise ValueError(f"record keys must be exactly {_RECORD_KEYS}")
+    ResultRecord(**payload)  # its checks, with their messages
+    return Row(**payload)
+
+
+
+def iter_rows(
+    path: str, drop_torn_tail: bool = False, laws: int | None = None
+) -> Iterator[Row]:
+    """The log's records as Rows, read one line at a time with every check of
+    ResultRecord; duplicate pairs and malformed lines are format errors
+    naming the line, raised when the reader reaches it, and so is a line
+    that is not UTF-8, with the decoder's own message.  A line as
+    _record_line writes it is read by one pattern, any other by json.loads;
+    both give the same row.  With drop_torn_tail, an unparsable final line
+    without its newline (a write cut short by a killed run) is skipped.
+    A record naming a law id past ROW_BITS - 1 is an error too, and so,
+    with laws, the size of the corpus the log should belong to, is one
+    naming a higher id."""
+    return _scan(path, drop_torn_tail, laws, None)
+
+
+# what the second pass of propagate_log does with each line, as its first
+# pass notes them in flags: skip it (_BLANK), drop it when closure derives its
+# pair (_UNSOLVED), and copy it as it stands (_SAME: exactly as _record_line
+# writes it) or else render its record again
+_SAME, _UNSOLVED, _BLANK = 1, 2, 4
+# the start of a line whose keys come in _RECORD_KEYS order
+_PAIR = re.compile(r'\{"lhs": ([0-9]+), "rhs": ([0-9]+),')
+
+
+def _scan(
+    path: str, drop_torn_tail: bool, laws: int | None, forms: bytearray | None
+) -> Iterator[Row]:
+    """iter_rows' generator; with forms it also appends the flags of each
+    line read.  A line _ROW matches is read by _row, any other, and one _row
+    leaves, by json.loads and _row_from_dict."""
+    # the pairs read so far: one int bitset of rhs ids per lhs, each id at
+    # most limit, so no bitset grows past ROW_BITS bits
+    seen: dict[int, int] = {}
+    limit = ROW_BITS - 1 if laws is None else min(laws, ROW_BITS - 1)
+    match_row, row_of, ints = _ROW.match, _row, _Ints()
+    # a byte that is not UTF-8 is read as a lone surrogate, and decoding its
+    # line strictly again raises the decoder's error, a ValueError, for that
+    # line (any line: _row would read the surrogate in a witness)
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                if not raw.isascii():
+                    raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                match = match_row(raw)
+                row = None if match is None else row_of(raw, match, ints)
+                if row is None:
+                    line = raw.strip()
+                    if not line:
+                        if forms is not None:
+                            forms.append(_BLANK)
+                        continue
+                    # json.loads raises a JSONDecodeError, _unique_keys a
+                    # ValueError, int conversion a ValueError past its digit
+                    # limit, and arrays nested past the recursion limit a
+                    # RecursionError
+                    try:
+                        payload = json.loads(line, object_pairs_hook=_unique_keys)
+                    except (ValueError, RecursionError) as err:
+                        if drop_torn_tail and not raw.endswith("\n"):
+                            return
+                        raise ValueError(f"bad record: {err}") from None
+                    row = _row_from_dict(payload)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+            lhs, rhs = row[0], row[1]
+            if lhs > limit or rhs > limit:
+                law = max(lhs, rhs)
+                bound = (
+                    f"the corpus has {laws} laws" if laws is not None and law > laws
+                    else f"law ids run to {ROW_BITS - 1}"
+                )
+                raise ValueError(f"{path}:{lineno}: pair {(lhs, rhs)} names law {law}, but {bound}")
+            bits = seen.get(lhs, 0)
+            if bits >> rhs & 1:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
+                    f"(first at line {_first_line(path, (lhs, rhs))})"
+                )
+            seen[lhs] = bits | 1 << rhs
+            if forms is not None:
+                # _ROW fixes every field's text but seconds' and the witness's;
+                # a null witness ends the line
+                if match is None:
+                    form = 0
+                elif match[7] is None:
+                    form = _SAME if raw == _record_line(row) else 0
+                else:
+                    form = _SAME if match[7] == "null}\n" and repr(row[5]) == match[6] else 0
+                if row[2] == UNSOLVED:
+                    form |= _UNSOLVED
+                forms.append(form)
+            yield row
+
+
+def _record_of(line: str) -> Row:
+    """The record of a line that iter_rows has read, as a Row."""
+    match = _ROW.match(line)
+    row = None if match is None else _row(line, match, _Ints())
+    if row is None:
+        return _row_from_dict(json.loads(line, object_pairs_hook=_unique_keys))
+    return row
+
+
+def _pair_of(line: str) -> tuple[int, int]:
+    """The pair of a line that iter_rows has read."""
+    match = _PAIR.match(line)
+    if match is None:
+        record = _record_of(line)
+        return record.lhs, record.rhs
+    return int(match[1]), int(match[2])
+
+
+def _first_line(path: str, pair: tuple[int, int]) -> int | None:
+    """The number of the first line holding pair's record."""
+    # the lines up to the duplicate decode; a later one may not
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            if not raw.isspace() and _pair_of(raw) == pair:
+                return lineno
+    return None
+
+
+def _status_map(records) -> StatusMap:
+    """The decided records' statuses, keyed for closure.propagate."""
+    status_map = StatusMap()
+    add = status_map.add
+    for record in records:
+        if record.status != UNSOLVED:
+            add(record.lhs, record.rhs, record.status, record.method)
+    return status_map
+
+
+def load_results(
+    path: str, drop_torn_tail: bool = False, laws: int | None = None, keep_records: bool = True
+) -> tuple[StatusMap, list[ResultRecord]]:
+    """The log read through iter_rows, with its checks: its status map,
+    which carries decided pairs only, keyed for closure.propagate, and its
+    records in line order (an empty list without keep_records, which reads
+    rows alone).  The status map is a closure.StatusMap, one row bitset per
+    law for each distinct (status, method), so it holds no dict entry per
+    pair; the records share one copy of each status and method string."""
+    rows = iter_rows(path, drop_torn_tail, laws)
+    if not keep_records:
+        return _status_map(rows), []
+    share = {}.setdefault
+    records = [
+        ResultRecord(lhs, rhs, share(status, status), share(method, method), stage, seconds, witness)
+        for lhs, rhs, status, method, stage, seconds, witness in rows
+    ]
+    return _status_map(records), records
+
+
+def propagate_log(path: str) -> int:
+    """Close the log's statuses under the implication rules and add the derived
+    records (method closure:R1|R2|R3, stage 0, no witness); returns how many
+    new pairs were decided.  A pair that was unsolved directly but is decided
+    by closure gets its unsolved record replaced.  A log closure adds nothing
+    to is not rewritten.
+
+    The log is read twice and never held.  The first pass builds the status
+    map from rows and notes, per line, whether it is blank, whether it is
+    unsolved, and whether it is exactly _record_line of its record.  The
+    second streams the kept lines to the rewrite: a line noted so as it
+    stands, any other rendered by _record_line (a line can match the pattern
+    and still differ from it, as seconds 0.50 or a witness escaping "/" do).
+    Derived records differ only in their pair and rule, so each derived line
+    is its pair followed by the rest of one line that _record_line renders
+    per rule, in (lhs, rhs) order as the closed map's rule bitsets give
+    them."""
+    forms = bytearray()
+    status_map = _status_map(_scan(path, False, None, forms))
+    closed = propagate(status_map)
+    added = len(closed) - len(status_map)
+    if not added:
+        return 0  # leave the log, its inode and its mtime as they are
+
+    # an unsolved pair is absent from status_map, so closure decides it only
+    # by deriving it
+    def kept_lines():
+        with open(path, encoding="utf-8") as handle:
+            for raw, form in zip(handle, forms):
+                if form == _BLANK or form & _UNSOLVED and closed.derives(_pair_of(raw)):
+                    continue
+                yield raw if form & _SAME else _record_line(_record_of(raw))
+
+    def closure_lines():
+        tails: dict[str, str] = {}  # by rule, which fixes the status
+        for (lhs, rhs), entry in closed.derived():
+            rule = entry.provenance
+            tail = tails.get(rule)
+            if tail is None:
+                line = _record_line(Row(1, 2, entry.status, rule, CLOSURE_STAGE, 0.0, None))
+                tail = tails[rule] = line.partition('"rhs": 2')[2]
+            yield f'{{"lhs": {lhs}, "rhs": {rhs}{tail}'
+
+    _write_log(path, itertools.chain(kept_lines(), closure_lines()))
+    return added

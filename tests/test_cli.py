@@ -4,6 +4,7 @@ Exit-code contract under test: 0 success, 1 usage/validation/parse errors,
 2 consistency failures (closure conflicts, invalid witnesses).
 """
 
+import ast
 import dataclasses
 import json
 import os
@@ -192,6 +193,82 @@ def test_cli_import_loads_no_process_pool():
     out, _ = probe.communicate(timeout=60)
     assert probe.returncode == 0
     assert out.strip() == "[]"
+
+
+def _loaded_after(code):
+    """The eqimp modules a fresh interpreter holds after running code, which
+    may print lines of its own first."""
+    probe = _python("-c", f"import sys; {code}; print(sorted(sys.modules))", stdout=subprocess.PIPE,
+                    text=True)
+    out, _ = probe.communicate(timeout=60)
+    assert probe.returncode == 0
+    return {name[len("eqimp."):] for name in ast.literal_eval(out.splitlines()[-1])
+            if name.startswith("eqimp.")}
+
+
+@pytest.mark.parametrize("command, runs, skips", [
+    ("pairs", "terms", {"models", "saturation", "runner", "closure", "report"}),
+    ("closure", "log", {"models", "saturation", "terms", "tptp", "runner"}),
+    ("report", "report", {"models", "saturation", "terms", "tptp", "runner"}),
+    ("verify", "models", {"runner", "report"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, runs, skips):
+    eqs, log = _mini_run(tmp_path, ["x*y = y*x", "x*y = x", "x = x"])
+    argv = [command, "--eqs", eqs] if command == "pairs" else [command, "--results", log]
+    if command == "verify":
+        argv += ["--eqs", eqs]
+    loaded = _loaded_after(f"from eqimp.cli import main; assert main({argv!r}) == 0")
+    assert runs in loaded
+    assert not loaded & skips
+
+
+def test_package_import_loads_no_submodule_and_serves_every_export():
+    assert _loaded_after("import eqimp") == set()
+    code = "import eqimp; from eqimp import *; assert set(eqimp.__all__) <= globals().keys()"
+    assert {"models", "saturation", "terms", "tptp"} <= _loaded_after(code)
+    with pytest.raises(ImportError):
+        from eqimp import no_such_name  # noqa: F401
+
+
+# the names perfbench/inprocess.py's traced pass wraps on cli, each with the
+# module that defines it
+CLI_TRACED = {
+    "verify_equation": "models", "eval_term": "models", "parse_countermodel": "models",
+    "parse_proof": "saturation", "replay_proof": "saturation", "skolemize": "tptp",
+    "load_corpus": "terms", "load_results": "log", "propagate_log": "log",
+    "summarize": "report", "histogram": "report", "render": "report",
+}
+
+
+def test_the_traced_pass_finds_every_name_it_wraps():
+    # on cli they resolve on first use, from a fresh interpreter too
+    code = (
+        "import importlib, eqimp.cli as cli; "
+        f"assert all(getattr(cli, name) is getattr(importlib.import_module('eqimp.' + module), name) "
+        f"for name, module in {CLI_TRACED!r}.items())"
+    )
+    assert set(CLI_TRACED.values()) <= _loaded_after(code)
+    from eqimp import models, runner
+
+    for name in ("find_countermodel", "saturate", "format_countermodel", "format_proof",
+                 "skolemize", "propagate", "load_results"):
+        assert callable(getattr(runner, name))
+    assert callable(models.verify_equation)
+
+
+def test_a_command_calls_the_name_set_on_cli_before_it_runs(monkeypatch, capsys):
+    from eqimp import cli
+
+    read = []
+
+    def recording(path):
+        read.append(path)
+        return load_corpus(path)
+
+    monkeypatch.setattr(cli, "load_corpus", recording)
+    assert main(["pairs", "--eqs", DESK]) == 0
+    assert read == [DESK]
+    assert capsys.readouterr().out == "equations: 20\npairs: 380\n"
 
 
 def test_short_parallel_run_starts_no_workers(tmp_path):

@@ -665,7 +665,9 @@ def test_log_rewrite_failing_midway_leaves_the_log_intact(tmp_path, monkeypatch,
             raise RuntimeError("disk full")
         return original(record)
 
-    monkeypatch.setattr(runner, "_record_line", fail_on_second_line)
+    # run writes through runner's binding, closure through the log module's
+    target = "eqimp.runner" if rewrite == "resume" else "eqimp.log"
+    monkeypatch.setattr(f"{target}._record_line", fail_on_second_line)
     with pytest.raises(RuntimeError, match="disk full"):
         if rewrite == "resume":
             run(corpus, _mini_schedule(), RunConfig(str(out), resume=True))
@@ -1101,7 +1103,7 @@ def test_readers_build_no_record_per_canonical_line(tmp_path, monkeypatch, capsy
 
         return wrapper
 
-    monkeypatch.setattr(runner, "ResultRecord", counting(runner.ResultRecord))
+    monkeypatch.setattr("eqimp.log.ResultRecord", counting(runner.ResultRecord))
     for _ in range(2):  # the log as written, then closed
         assert main(["report", "--results", log]) == 0
         assert main(["report", "--results", log, "--histogram"]) == 0
