@@ -16,9 +16,11 @@ int bitset (bit i for id i): a row per law of the pairs it is the premise
 of, a column per law of the pairs it is the conclusion of.  A rule applied to a
 popped pair is a mask over one row or column, so pairs already decided cost
 one bitwise and, not an entry each.  A derived pair is one bit in its rule's
-row bitsets and one slot in flat arrays of pair codes, rules and the laws its
-two premises share, from which a lookup rebuilds its premises; no object is
-built per pair.  Derived entries never overwrite direct ones; a derivation
+row bitsets and one slot in two flat arrays, of pair codes and of the laws its
+two premises share; no object is built per pair.  Each map has one lookup,
+its __getitem__, from which Mapping derives get, in and the views; a derived
+pair's lookup rebuilds its entry, premises included, from its rule and middle
+law.  Derived entries never overwrite direct ones; a derivation
 contradicting an existing status raises ConsistencyError naming the pair and
 both justifications.
 Unsolved pairs are simply absent from the map.  A results log's statuses
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -118,22 +120,13 @@ class StatusMap(Mapping):
         """The pairs whose entry passes keep, sharing this map's rows."""
         return StatusMap((key, shared) for key, shared in self._rows.items() if keep(shared[0]))
 
-    def get(self, pair: Pair, default=None):
+    def __getitem__(self, pair: Pair) -> StatusEntry:
         lhs, rhs = pair
         if rhs >= 0:
             for entry, row in self._rows.values():
                 if row.get(lhs, 0) >> rhs & 1:
                     return entry
-        return default
-
-    def __getitem__(self, pair: Pair) -> StatusEntry:
-        entry = self.get(pair)
-        if entry is None:
-            raise KeyError(pair)
-        return entry
-
-    def __contains__(self, pair) -> bool:
-        return self.get(pair) is not None
+        raise KeyError(pair)
 
     def __iter__(self):
         for _, row in self._rows.values():
@@ -145,25 +138,19 @@ class StatusMap(Mapping):
         return self._len
 
 
-class _ClosedItems(ItemsView):
-    def __iter__(self):
-        return self._mapping._items()
-
-
 class ClosedMap(Mapping):
     """propagate's result, read-only: the input's entries in its order, then
     the derived pairs in derivation order, each built into its full entry,
     premises included, on lookup.
 
-    A derived pair is a bit in its rule's row bitsets and one slot of three
-    flat arrays in derivation order: its code lhs * ROW_BITS + rhs, its rule,
-    and the law its premises share."""
+    A derived pair is a bit in its rule's row bitsets and one slot of two
+    flat arrays in derivation order: its code lhs * ROW_BITS + rhs and the
+    law its premises share."""
 
     def __init__(self, statuses: Mapping[Pair, StatusEntry]):
         # a StatusMap or ClosedMap cannot change under it; any other map is copied
         self._input = statuses if isinstance(statuses, (StatusMap, ClosedMap)) else dict(statuses)
         self._codes = array("q")
-        self._rules = bytearray()  # an index into _RULES
         self._middles = array("q")
         self._rule_rows: tuple[dict[int, int], ...] = ({}, {}, {})  # per rule: lhs -> bitset
         self._by_code = None  # (sorted codes, their middles), built by the first lookup
@@ -191,21 +178,11 @@ class ClosedMap(Mapping):
         ordered, middles = self._by_code
         return middles[bisect_left(ordered, pair[0] * ROW_BITS + pair[1])]
 
-    def get(self, pair: Pair, default=None):
-        entry = self._input.get(pair)
-        if entry is not None:
-            return entry
-        k = self._rule(pair)
-        return default if k is None else self._entry(pair, k, self._middle(pair))
-
     def __getitem__(self, pair: Pair) -> StatusEntry:
-        entry = self.get(pair)
-        if entry is None:
-            raise KeyError(pair)
-        return entry
-
-    def __contains__(self, pair) -> bool:
-        return pair in self._input or self._rule(pair) is not None
+        k = self._rule(pair)
+        if k is None:
+            return self._input[pair]
+        return self._entry(pair, k, self._middle(pair))
 
     def derives(self, pair: Pair) -> bool:
         """Whether pair is one of the derived pairs, not one of the input's."""
@@ -218,15 +195,6 @@ class ClosedMap(Mapping):
 
     def __len__(self) -> int:
         return len(self._input) + len(self._codes)
-
-    def items(self):
-        return _ClosedItems(self)
-
-    def _items(self):
-        yield from self._input.items()
-        for code, k, middle in zip(self._codes, self._rules, self._middles):
-            pair = divmod(code, ROW_BITS)
-            yield pair, self._entry(pair, k, middle)
 
     def derived(self):
         """Each derived pair and its rule's shared entry (no premises), in
@@ -279,9 +247,7 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
             for b in _bits(bits):
                 col[b] = col.get(b, 0) | bit
     result = ClosedMap(statuses)
-    codes, rules, middles, rule_rows = (
-        result._codes, result._rules, result._middles, result._rule_rows
-    )
+    codes, middles, rule_rows = result._codes, result._middles, result._rule_rows
     # the popped pairs: proven_out[a] has bit b for each popped (a,b) proven,
     # proven_in[b] has bit a, and likewise for the refuted ones
     proven_out: dict[int, int] = {}
@@ -321,9 +287,7 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
                 row[v] = row.get(v, 0) | bit
                 rule_row[v] = rule_row.get(v, 0) | bit
                 codes.append(v * ROW_BITS + fixed)
-        count = fresh.bit_count()
-        rules.extend(repeat(k, count))
-        middles.extend(repeat(middle, count))
+        middles.extend(repeat(middle, fresh.bit_count()))
 
     def pop(a: int, b: int, proven: bool):
         # each rule's mask less the fixed law's own bit, since reflexive facts
@@ -353,7 +317,8 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
                 derive(mask, a, True, 2, b)
 
     # the worklist: the input's pairs in sorted order, then each derived pair
-    # in the order it was derived, which is the order of the arrays
+    # in the order it was derived, which is the order of the arrays; R1 alone
+    # derives proven pairs, so its row bitsets tell a popped pair's status
     proven_rows, refuted_rows = given[PROVEN], given[REFUTED]
     for a in sorted(proven_rows.keys() | refuted_rows.keys()):
         proven = proven_rows.get(a, 0)
@@ -362,6 +327,6 @@ def propagate(statuses: Mapping[Pair, StatusEntry]) -> ClosedMap:
     index = 0
     while index < len(codes):
         a, b = divmod(codes[index], ROW_BITS)
-        pop(a, b, rules[index] == 0)
+        pop(a, b, bool(rule_rows[0].get(a, 0) >> b & 1))
         index += 1
     return result

@@ -91,23 +91,19 @@ def summarize(records, method_order=None) -> SummaryTable:
     )
 
 
-def histogram(records, edges=DEFAULT_EDGES) -> Histogram:
-    """Bucket decided records by solve time, grouped by (method, status).
-    Records outside [first edge, last edge) land in the open end buckets."""
-    edges = tuple(float(e) for e in edges)
-    if len(edges) < 2:
-        raise ValueError("need at least 2 edges")
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError("edges must be strictly increasing")
+def histogram(records) -> Histogram:
+    """Bucket decided records by solve time over DEFAULT_EDGES, grouped by
+    (method, status).  Records outside [first edge, last edge) land in the
+    open end buckets."""
     cells: dict[tuple[str, str], list[int]] = {}
-    width = len(edges) + 1
+    width = len(DEFAULT_EDGES) + 1
     for record in _decided(records):
-        bucket = bisect.bisect_right(edges, record.seconds)
+        bucket = bisect.bisect_right(DEFAULT_EDGES, record.seconds)
         key = (record.method, record.status)
         if key not in cells:
             cells[key] = [0] * width
         cells[key][bucket] += 1
-    return Histogram(edges, {key: tuple(counts) for key, counts in cells.items()})
+    return Histogram(DEFAULT_EDGES, {key: tuple(counts) for key, counts in cells.items()})
 
 
 def _bucket_labels(edges) -> list[str]:

@@ -13,6 +13,7 @@ from eqimp.closure import (
     StatusEntry,
     propagate,
 )
+from eqimp.log import UNSOLVED, ResultRecord, _record_line, _status_map, iter_rows
 from eqimp.terms import parse_equation
 
 
@@ -314,3 +315,52 @@ def test_matches_the_set_based_worklist_on_a_hidden_preorder():
     closed = _closed(propagate, before)
     assert closed == _closed(_reference_propagate, before)
     assert len(closed) > 2 * len(before)
+
+
+# --- lookups -----------------------------------------------------------------------
+# Each map writes only __getitem__, __iter__ and __len__; Mapping derives get,
+# in and the views from them, so a miss must be a KeyError, never a ValueError
+# from a negative shift.
+
+
+def _log_status_map(tmp_path):
+    rows = [
+        ResultRecord(2, 3, PROVEN, "satur-500i", 2, 0.5, None),
+        ResultRecord(1, 2, PROVEN, "satur-500i", 2, 0.5, None),
+        ResultRecord(1, 4, REFUTED, "fmb-500i", 1, 0.5, "[[0]]"),
+        ResultRecord(3, 1, UNSOLVED, None, None, 0.5, None),
+    ]
+    path = tmp_path / "out.jsonl"
+    path.write_text("".join(map(_record_line, rows)), encoding="utf-8")
+    return _status_map(iter_rows(str(path)))
+
+
+def _assert_lookups_match(mapping, reference, probes):
+    for pair in probes:
+        if pair in reference:
+            assert mapping[pair] == reference[pair]
+        else:
+            with pytest.raises(KeyError):
+                mapping[pair]
+        assert mapping.get(pair, "absent") == reference.get(pair, "absent")
+        assert (pair in mapping) == (pair in reference)
+    assert list(mapping.keys()) == list(reference.keys())
+    assert list(mapping.values()) == list(reference.values())
+    assert list(mapping.items()) == list(reference.items())
+
+
+def test_lookups_agree_with_a_dict_at_the_edges(tmp_path):
+    satur, fmb = StatusEntry(PROVEN, "satur-500i"), StatusEntry(REFUTED, "fmb-500i")
+    status_map = _log_status_map(tmp_path)
+    # one entry's pairs at a time, each in (lhs, rhs) order
+    given = {(1, 2): satur, (2, 3): satur, (1, 4): fmb}
+    edges = [(4, 1), (1, 1), (1, -1), (-1, 2)]
+    _assert_lookups_match(status_map, given, [(1, 2), *edges])
+    closed = propagate(status_map)
+    # the input's entries, then the derived ones in derivation order
+    derived = {
+        (2, 4): StatusEntry(REFUTED, "closure:R2", ((1, 2), (1, 4))),
+        (1, 3): StatusEntry(PROVEN, "closure:R1", ((1, 2), (2, 3))),
+        (3, 4): StatusEntry(REFUTED, "closure:R2", ((2, 3), (2, 4))),
+    }
+    _assert_lookups_match(closed, {**given, **derived}, [(1, 2), (1, 3), (3, 4), *edges])
