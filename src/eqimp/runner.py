@@ -14,11 +14,14 @@ The walk is one list of engine attempts, each a stage with a budget and the
 statuses it may record.  The model finder cannot refute a true implication,
 so when the first stage is a step-budgeted model finder stage and the first
 saturation stage is step-budgeted too, the list opens with a decide-early
-phase: a slice of the first stage's search that records only refutations,
-then a saturation probe on the pairs still open that records only proofs.
-Both engines are deterministic under step budgets, so every record the phase
-writes is the one the stages themselves write; a pair the probe proves skips
-the model finder stages before the probed stage.
+phase of ROUNDS with growing step budgets: by default a 50-step slice and a
+5-iteration probe, then a 500-step slice and a 20-iteration probe.  A slice
+is a cut of the first stage's search that records only refutations, a probe
+a cut of that saturation stage's run on the pairs still open that records
+only proofs.  Both engines are deterministic under step budgets, so every
+record the phase writes is the one the stages themselves write, whatever the
+rounds; a pair a probe proves skips the model finder stages before the
+probed stage.
 
 Every run attempts the premise groups in the calling process first, in pair
 order.  With more than one worker that phase ends POOL_AFTER seconds into the
@@ -69,10 +72,9 @@ WORKER_DIED = "error:worker process died"
 ENGINE_FMB = "fmb"
 ENGINE_SATUR = "satur"
 
-# the decide-early phase (see _attempts): model finder steps of the slice,
-# and saturation iterations of each probe
-SLICE = 500
-K = 20
+# the decide-early rounds (see _attempts): per round, the model finder steps
+# of its slice and the saturation iterations of its probe
+ROUNDS = ((50, 5), (500, 20))
 # seconds into a run with more than one worker at which its in-process
 # attempts are cut and the groups left go to worker processes: about what
 # spawning two interpreters costs
@@ -127,7 +129,8 @@ def default_schedule() -> Schedule:
 
 def parse_schedule(text: str) -> Schedule:
     """One stage per line: <name> <fmb|satur> <steps|seconds> <amount> [max_size=<n>].
-    Blank lines and # comments are skipped."""
+    Numbers are ASCII digits, with at most one '.' in seconds, and an option
+    is given at most once.  Blank lines and # comments are skipped."""
     stages = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -139,23 +142,35 @@ def parse_schedule(text: str) -> Schedule:
         name, engine, kind, amount = parts[:4]
         try:
             if kind == "steps":
-                budget = Budget.of_steps(int(amount))
+                budget = Budget.of_steps(_digits(amount, "steps"))
             elif kind == "seconds":
+                digits = amount.replace(".", "", 1)
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(f"seconds {amount!r} is not a finite decimal of ASCII digits")
                 budget = Budget.of_wall(float(amount))
             else:
                 raise ValueError("budget kind must be steps or seconds")
-            max_size = 6
+            max_size = None
             for extra in parts[4:]:
                 key, sep, value = extra.partition("=")
                 if not sep or key != "max_size":
                     raise ValueError(f"unknown option {extra!r}")
                 if engine != ENGINE_FMB:
                     raise ValueError("max_size only applies to fmb")
-                max_size = int(value)
-            stages.append(MethodSpec(name, engine, budget, max_size))
+                if max_size is not None:
+                    raise ValueError("max_size is given twice")
+                max_size = _digits(value, "max_size")
+            stages.append(MethodSpec(name, engine, budget, 6 if max_size is None else max_size))
         except ValueError as err:
             raise ValueError(f"schedule line {lineno}: {err}") from None
     return Schedule(tuple(stages))
+
+
+def _digits(text: str, what: str) -> int:
+    """The whole number text spells in ASCII digits alone."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} {text!r} is not a whole number of ASCII digits")
+    return int(text)
 
 
 def load_schedule(path: str) -> Schedule:
@@ -236,15 +251,19 @@ def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
 
     When the first stage is a step-budgeted model finder stage and the first
     saturation stage S is step-budgeted too, the decide-early phase comes
-    first.  The slice is the first stage's shared search cut at SLICE steps.
+    first: for each (slice steps, probe iterations) of ROUNDS in turn, a slice
+    and a probe.  A slice is the first stage's shared search cut at its steps.
     Its walk is a prefix of the stage's own, so a countermodel it finds is the
-    one the stage finds; it records refutations only.  The probe is S's run
-    cut at K iterations, a prefix of S's run as the slice is of the first
-    stage's.  A proof found within K iterations is the proof S's whole budget
-    returns, and no model finder stage can refute a true implication, so it
-    records proofs only, as S's, and the pair skips every model finder stage
-    before S.  Both are step budgets, so the phase does the same work however
-    loaded the host is.
+    one the stage finds; it records refutations only.  A probe is S's run cut
+    at its iterations, a prefix of S's run as a slice is of the first stage's.
+    A proof found within them is the proof S's whole budget returns, and no
+    model finder stage can refute a true implication, so it records proofs
+    only, as S's, and the pair skips every model finder stage before S.  Any
+    rounds therefore write the same records; the first settles the pairs that
+    fall early, the later ones bound what a cut-off set too short costs.  Each
+    budget is capped at its stage's steps, and an attempt no larger than its
+    engine's in the round before is left out.  All are step budgets, so the
+    phase does the same work however loaded the host is.
     """
     walk = [
         (index, stage.budget, (PROVEN, REFUTED, UNSOLVED))
@@ -257,11 +276,18 @@ def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
         if stage.engine == ENGINE_SATUR:
             if stage.budget.seconds is not None:
                 return walk
-            return [
-                (1, Budget.of_steps(min(SLICE, first.budget.steps)), (REFUTED,)),
-                (index, Budget.of_steps(min(K, stage.budget.steps)), (PROVEN,)),
-                *walk,
-            ]
+            early = []
+            sliced = probed = -1  # the largest slice and probe so far
+            for slice_steps, probe_steps in ROUNDS:
+                slice_steps = min(slice_steps, first.budget.steps)
+                probe_steps = min(probe_steps, stage.budget.steps)
+                if slice_steps > sliced:
+                    early.append((1, Budget.of_steps(slice_steps), (REFUTED,)))
+                    sliced = slice_steps
+                if probe_steps > probed:
+                    early.append((index, Budget.of_steps(probe_steps), (PROVEN,)))
+                    probed = probe_steps
+            return early + walk
     return walk
 
 

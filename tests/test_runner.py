@@ -192,6 +192,36 @@ def test_load_schedule(tmp_path):
     assert schedule.stages[0] == MethodSpec("only-fmb", ENGINE_FMB, Budget.of_steps(250), 5)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("s1 fmb steps ٥٠", "steps '٥٠' is not a whole number of ASCII digits"),
+        ("s1 fmb steps 1_000", "steps '1_000' is not a whole number"),
+        ("s1 fmb steps +500", "steps '\\+500' is not a whole number"),
+        ("s1 fmb steps 500 max_size=+4", "max_size '\\+4' is not a whole number"),
+        ("s1 fmb steps 500 max_size=٤", "max_size '٤' is not a whole number"),
+        ("s1 satur seconds ١.5", "seconds '١.5' is not a finite decimal of ASCII digits"),
+        ("s1 satur seconds 1.5.0", "seconds '1.5.0' is not a finite decimal"),
+        ("s1 satur seconds 1e3", "seconds '1e3' is not a finite decimal"),
+        ("s1 satur seconds .", "seconds '.' is not a finite decimal"),
+        ("s1 fmb steps 500 max_size=4 max_size=5", "max_size is given twice"),
+    ],
+)
+def test_parse_schedule_reads_ascii_digits_and_each_option_once(line, message):
+    # numbers are read as countermodels, --pair and law ids read theirs
+    with pytest.raises(ValueError, match=f"^schedule line 2: {message}"):
+        parse_schedule("s0 satur steps 10\n" + line)
+
+
+def test_parse_schedule_reads_seconds_with_at_most_one_point():
+    stages = parse_schedule("a satur seconds 2\nb satur seconds .5\nc fmb seconds 3.\n").stages
+    assert [stage.budget for stage in stages] == [
+        Budget.of_wall(2.0),
+        Budget.of_wall(0.5),
+        Budget.of_wall(3.0),
+    ]
+
+
 # --- single-pair attempts ----------------------------------------------------
 
 
@@ -359,23 +389,19 @@ def _recording(monkeypatch):
     return calls
 
 
-def _probe_budget(stage):
-    return Budget.of_steps(min(runner.K, stage.budget.steps))
-
-
 def test_a_proof_found_by_the_probe_skips_the_model_finder(tmp_path, monkeypatch):
     # all products equal: commutativity has no finite countermodel and the
     # probe proves it; x*y = x fails only at a complete table, past the
     # one-step slice, so the model finder's full search runs for it alone
     corpus = _corpus(tmp_path, ["x*y = u*w", "x*y = y*x", "x*y = x"])
     schedule = _mini_schedule()
-    fmb, satur = schedule.stages
-    monkeypatch.setattr(runner, "SLICE", 1)
+    fmb, _ = schedule.stages
+    monkeypatch.setattr(runner, "ROUNDS", ((1, 20),))
     calls = _recording(monkeypatch)
     proved, refuted = attempt_premise(corpus, 1, (2, 3), schedule)
     assert calls == [
         ("fmb", Budget.of_steps(1), 2),
-        ("satur", _probe_budget(satur), (PROVED, SATURATED)),
+        ("satur", Budget.of_steps(20), (PROVED, SATURATED)),
         ("fmb", fmb.budget, 1),
     ]
     assert (proved.status, proved.method, proved.stage) == (PROVEN, "mini-satur", 2)
@@ -389,7 +415,7 @@ def test_step_budgeted_stages_get_step_budgets_only():
     # what it does never depends on how loaded the host is
     schedule = default_schedule()
     attempts = runner._attempts(schedule)
-    assert [index for index, _, _ in attempts] == [1, 2, 1, 2, 3, 4, 5]
+    assert [index for index, _, _ in attempts] == [1, 2, 1, 2, 1, 2, 3, 4, 5]
     for index, budget, _ in attempts:
         if schedule.stages[index - 1].budget.seconds is None:
             assert budget.steps is not None and budget.seconds is None
@@ -445,7 +471,7 @@ def test_probes_cut_at_zero_steps_change_no_record(tmp_path, monkeypatch):
     schedule = _mini_schedule()
     expected = _mini_records(corpus, schedule)
     assert any(r.status == PROVEN and r.method == "mini-satur" for r in expected)
-    monkeypatch.setattr(runner, "K", 0)
+    monkeypatch.setattr(runner, "ROUNDS", tuple((steps, 0) for steps, _ in runner.ROUNDS))
     calls = _recording(monkeypatch)
     assert _mini_records(corpus, schedule) == expected
     probes = [
@@ -461,13 +487,14 @@ def test_a_probe_that_raises_changes_no_record(tmp_path, monkeypatch):
     corpus = _corpus(tmp_path, PROBED_LAWS)
     schedule = _mini_schedule()
     expected = _mini_records(corpus, schedule)
-    raised = []
+    probe_steps = {steps for _, steps in runner.ROUNDS}
+    raised = set()
 
     def raise_in_probes(saturate):
         # stands in for saturate (one goal) and saturate_many (a list of them)
         def stub(premise, goals, budget):
-            if budget.steps == runner.K:
-                raised.append(goals)
+            if budget.steps in probe_steps:
+                raised.add(budget.steps)
                 raise RuntimeError("probe failed")
             return saturate(premise, goals, budget)
 
@@ -476,7 +503,41 @@ def test_a_probe_that_raises_changes_no_record(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "saturate", raise_in_probes(runner.saturate))
     monkeypatch.setattr(runner, "saturate_many", raise_in_probes(runner.saturate_many))
     assert _mini_records(corpus, schedule) == expected
-    assert raised
+    assert raised == probe_steps
+
+
+def test_records_do_not_depend_on_the_rounds(tmp_path, monkeypatch):
+    # every slice and probe is a prefix of its stage's deterministic run, so
+    # any rounds, none at all included, write the same records
+    mini = _corpus(tmp_path, PROBED_LAWS)
+    desk = load_corpus(str(DATA / "desk.eqs"))
+    default = runner.ROUNDS
+    seen = {}
+    for rounds in [(), ((500, 20),), ((1, 0), (1, 1)), default]:
+        monkeypatch.setattr(runner, "ROUNDS", rounds)
+        records = run(desk, default_schedule(), RunConfig(str(tmp_path / "desk.jsonl")))
+        seen[rounds] = (
+            _mini_records(mini, _mini_schedule()),
+            [dataclasses.replace(record, seconds=0.0) for record in records],
+        )
+    assert all(records == seen[default] for records in seen.values())
+
+
+def test_a_short_first_stage_runs_each_slice_once(tmp_path, monkeypatch):
+    # a first stage shorter than the last round's slice caps that slice at
+    # the steps an earlier round already ran, so it is left out
+    corpus = _corpus(tmp_path, PROBED_LAWS)
+    satur = _mini_schedule().stages[1]
+    short = Schedule((MethodSpec("short-fmb", ENGINE_FMB, Budget.of_steps(30), 4), satur))
+    assert 30 < runner.ROUNDS[-1][0]
+    attempts = runner._attempts(short)
+    slices = [budget.steps for _, budget, statuses in attempts if statuses == (REFUTED,)]
+    probes = [budget.steps for _, budget, statuses in attempts if statuses == (PROVEN,)]
+    assert len(slices) == len(set(slices)) and max(slices) == 30
+    assert probes == sorted(set(probes)) and len(probes) == len(runner.ROUNDS)
+    records = _mini_records(corpus, short)
+    monkeypatch.setattr(runner, "ROUNDS", ())
+    assert _mini_records(corpus, short) == records
 
 
 class _Clock:
@@ -491,30 +552,36 @@ class _Clock:
 
 def test_decide_early_seconds_accounting(tmp_path, monkeypatch):
     # scripted engines on a fake clock, in dyadic seconds so every sum is
-    # exact.  Per conclusion: whether the slice or the model finder stage
-    # refutes it (and when), and what the probe and the saturation stage do
-    # for it in their shared loop (seconds until its goal closed, then the
-    # outcome status or "raise"); a loop lasts as long as its slowest goal
+    # exact, over two decide-early rounds.  Per conclusion: which model finder
+    # attempt refutes it (by its step budget) and when, and what each
+    # saturation attempt (by its step budget) does for it in its shared loop
+    # (seconds until its goal closed, then the outcome status or "raise"); a
+    # search or a loop lasts as long as its budget's entry or slowest goal
     corpus = _corpus(
         tmp_path,
         ["x = x", "x*y = y*x", "x*y = x", "x*x = x", "x = y", "(x*y)*z = x*(y*z)"],
     )
     schedule = _mini_schedule()
-    fmb_refutes = {2: ("slice", 0.25), 6: ("stage", 1.5)}
-    probes = {3: (0.125, PROVED), 4: (1.0, OUT_OF_BUDGET), 5: (0.0625, SATURATED),
-              6: (0.0625, SATURATED)}
-    stage_runs = {4: (4.0, OUT_OF_BUDGET), 5: (0.03125, "raise")}
+    monkeypatch.setattr(runner, "ROUNDS", ((50, 5), (500, 20)))
+    searches = {50: 0.25, 500: 0.5, 5_000: 2.0}
+    fmb_refutes = {2: (500, 0.25), 6: (5_000, 1.5)}
+    loops = {
+        5: {2: (0.125, OUT_OF_BUDGET), 3: (0.125, OUT_OF_BUDGET), 4: (0.5, OUT_OF_BUDGET),
+            5: (0.03125, SATURATED), 6: (0.03125, SATURATED)},
+        20: {3: (0.125, PROVED), 4: (1.0, OUT_OF_BUDGET), 5: (0.0625, SATURATED),
+             6: (0.0625, SATURATED)},
+        500: {4: (4.0, OUT_OF_BUDGET), 5: (0.03125, "raise")},
+    }
     clock = _Clock()
     monkeypatch.setattr(runner, "time", clock)
     table = MagmaTable.from_rows([[0, 0], [1, 1]])
 
     def fmb(premise, conclusions, max_size, budget):
-        kind = "slice" if budget.steps == runner.SLICE else "stage"
-        clock.now += 0.5 if kind == "slice" else 2.0
+        clock.now += searches[budget.steps]
         outcomes = []
         for conclusion in conclusions:
-            when, seconds = fmb_refutes.get(conclusion.id, (None, 0.0))
-            if when == kind:
+            steps, seconds = fmb_refutes.get(conclusion.id, (None, 0.0))
+            if steps == budget.steps:
                 outcomes.append(SearchOutcome(FOUND, Countermodel(table, (0, 1)), 2, 1, seconds))
             else:
                 outcomes.append(SearchOutcome(OUT_OF_BUDGET, None, 4, budget.steps, 0.0))
@@ -523,8 +590,7 @@ def test_decide_early_seconds_accounting(tmp_path, monkeypatch):
     goals = {skolemize(corpus.by_id(rhs)): rhs for rhs in range(2, 7)}
 
     def satur_many(premise, goal_list, budget):
-        script = probes if budget.steps == runner.K else stage_runs
-        runs = [script[goals[goal]] for goal in goal_list]
+        runs = [loops[budget.steps][goals[goal]] for goal in goal_list]
         clock.now += max(seconds for seconds, _ in runs)
         return [
             RuntimeError("boom")
@@ -537,12 +603,13 @@ def test_decide_early_seconds_accounting(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "saturate_many", satur_many)
     records = attempt_premise(corpus, 1, (2, 3, 4, 5, 6), schedule)
     assert [(r.rhs, r.status, r.stage, r.seconds) for r in records] == [
-        (2, REFUTED, 1, 0.25),  # the slice's time until its countermodel
-        (3, PROVEN, 2, 0.125),  # the probe's time until its goal closed, without the slice
-        (4, UNSOLVED, None, 0.5 + 1.0 + 2.0 + 4.0),  # every attempt, each loop whole
-        # the whole loop it crashed in, plus every attempt before it (the
+        (2, REFUTED, 1, 0.25),  # round 2's slice's time until its countermodel
+        (3, PROVEN, 2, 0.125),  # round 2's probe's time until its goal closed, alone
+        # every attempt of both rounds and both stages, each search and loop whole
+        (4, UNSOLVED, None, 0.25 + 0.5 + 0.5 + 1.0 + 2.0 + 4.0),
+        # the whole loop it crashed in, plus every attempt before it (each
         # probe's until it saturated)
-        (5, UNSOLVED, 2, 0.5 + 0.0625 + 2.0 + 4.0),
+        (5, UNSOLVED, 2, 0.25 + 0.03125 + 0.5 + 0.0625 + 2.0 + 4.0),
         (6, REFUTED, 1, 1.5),  # the stage's time until its countermodel
     ]
     assert records[4].witness == format_countermodel(Countermodel(table, (0, 1)))
