@@ -3,26 +3,34 @@
 A record has seven fields, written in this order: lhs, rhs, status, method,
 stage, seconds and witness.  _record_line renders a record exactly as
 json.dumps(vars(record)) does, and iter_rows is the log's only reader: it
-checks every line as it reads it and yields each record as a Row.  A line in
-the writer's form is read by one whole-line pattern, any other by json.loads;
-both give the same row.  load_results folds the rows into closure's status
-map, and propagate_log closes a log in place.  Nothing here runs an engine.
+checks every line as it reads it and yields each record as a Row.  It reads
+the log a block of whole lines at a time.  A block whose every line is in
+the writer's form is matched by one findall and converted and checked column
+by column; any other block is read line by line from its first line, a line
+in the writer's form by one whole-line pattern and any other by json.loads.
+All give the same rows and the same errors.  load_results folds the rows
+into closure's status map, and propagate_log closes a log in place, folding
+each block's columns into the status map and keeping each unsolved line's
+pair code for its second pass.  Nothing here runs an engine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
 import re
+from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
+from operator import add, eq, itemgetter, or_
 
-from .closure import PROVEN, REFUTED, ROW_BITS, StatusMap, propagate
+from .closure import PROVEN, REFUTED, ROW_BITS, StatusEntry, StatusMap, propagate
 
 UNSOLVED = "unsolved"
 
@@ -97,12 +105,35 @@ def _record_line(record: ResultRecord | Row) -> str:
 # quote.
 _ID = r"[1-9][0-9]*"
 _PLAIN = r"[ !#-\[\]-~]*"
+_SECONDS = rf"(?:0|{_ID})(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 _ROW = re.compile(
     rf'\{{"lhs": ({_ID}), "rhs": ({_ID}), "status": "(proven|refuted|unsolved)", '
     rf'"method": (?:null|"({_PLAIN})"), "stage": (null|0|{_ID}), '
-    rf'"seconds": ((?:0|{_ID})(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)), '
+    rf'"seconds": ({_SECONDS}), '
     r'"witness": (?:(null\}\n?)\Z|")'
 )
+
+# _ROW over a block of lines, one match per line in the writer's form, its
+# newline included, with each field's text a group: method and witness keep
+# their quotes (or are null), and a decided record's lookahead asks for a
+# method and a stage.  A witness is a JSON string in ASCII, any of json's
+# escapes included, unrolled so that no text matches two ways.  The line
+# anchor keeps a match from starting within a line.
+_STRING = rf'"{_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*"'
+_BLOCK_ROW = re.compile(
+    rf'^\{{"lhs": ({_ID}), "rhs": ({_ID}), '
+    rf'"status": "(unsolved|(?:proven|refuted)(?=", "method": "{_PLAIN}", "stage": [0-9]))", '
+    rf'"method": (null|"{_PLAIN}"), "stage": (null|0|{_ID}), '
+    rf'"seconds": ({_SECONDS}), "witness": (null|{_STRING})\}}\n',
+    re.M,
+)
+# a block's lines, each with its newline: split at "\n" alone, as iterating
+# the file splits them (str.splitlines also splits at "\x0b", "\u2028", ...)
+_LINES = re.compile(r"[^\n]*\n|[^\n]+")
+# the characters _scan reads as one block, then to the end of its last line:
+# about 130 lines of a campaign log, whose columns cost a small fraction of
+# the records a log holds
+_BLOCK_CHARS = 1 << 14
 
 
 class _Ints(dict):
@@ -115,6 +146,34 @@ class _Ints(dict):
     def __missing__(self, text: str) -> int:
         value = self[text] = int(text)
         return value
+
+
+class _Strings(dict):
+    """The value of each method or witness text _BLOCK_ROW matched: None for
+    null, else the JSON string's characters, decoded by json's scanner when
+    it escapes some.  With keep, each value is converted once, as a log
+    names few methods; a witness is converted each time it is read."""
+
+    def __init__(self, keep: bool):
+        super().__init__(null=None)
+        self.keep = keep
+
+    def __missing__(self, text: str) -> str:
+        value = scanstring(text, 1)[0] if "\\" in text else text[1:-1]
+        if self.keep:
+            self[text] = value
+        return value
+
+
+_BIT = (1).__lshift__  # the bitset of one id
+
+
+def _runs(pairs) -> Iterator[tuple[int, int, int]]:
+    """(lhs, bitset of the rhs ids, number of pairs) for each run of pairs
+    with one lhs."""
+    for lhs, run in itertools.groupby(pairs, itemgetter(0)):
+        rights = list(map(itemgetter(1), run))
+        yield lhs, functools.reduce(or_, map(_BIT, rights)), len(rights)
 
 
 def _row(line: str, match: re.Match, ints: _Ints) -> Row | None:
@@ -189,17 +248,25 @@ def _row_from_dict(payload) -> Row:
 def iter_rows(
     path: str, drop_torn_tail: bool = False, laws: int | None = None
 ) -> Iterator[Row]:
-    """The log's records as Rows, read one line at a time with every check of
+    """The log's records as Rows, in line order, with every check of
     ResultRecord; duplicate pairs and malformed lines are format errors
-    naming the line, raised when the reader reaches it, and so is a line
-    that is not UTF-8, with the decoder's own message.  A line as
-    _record_line writes it is read by one pattern, any other by json.loads;
-    both give the same row.  With drop_torn_tail, an unparsable final line
+    naming the line, raised when the reader reaches it, after the rows of
+    the lines before it, and so is a line that is not UTF-8, with the
+    decoder's own message.  The log is read a block of whole lines at a
+    time: a block whose every line is in the writer's form is read by one
+    pattern and checked column by column, any other line by line, a line as
+    _record_line writes it by one pattern and any other by json.loads; all
+    give the same row.  With drop_torn_tail, an unparsable final line
     without its newline (a write cut short by a killed run) is skipped.
     A record naming a law id past ROW_BITS - 1 is an error too, and so,
     with laws, the size of the corpus the log should belong to, is one
     naming a higher id."""
-    return _scan(path, drop_torn_tail, laws, None)
+    return itertools.chain.from_iterable(map(_rows, _scan(path, drop_torn_tail, laws, None)))
+
+
+def _rows(columns: tuple) -> Iterator[Row]:
+    # Row(...) would go through namedtuple's __new__, written in Python
+    return map(tuple.__new__, itertools.repeat(Row), zip(*columns))
 
 
 # what the second pass of propagate_log does with each line, as its first
@@ -207,78 +274,150 @@ def iter_rows(
 # pair (_UNSOLVED), and copy it as it stands (_SAME: exactly as _record_line
 # writes it) or else render its record again
 _SAME, _UNSOLVED, _BLANK = 1, 2, 4
+_STATUS_FLAGS = {PROVEN: 0, REFUTED: 0, UNSOLVED: _UNSOLVED}
 # the start of a line whose keys come in _RECORD_KEYS order
 _PAIR = re.compile(r'\{"lhs": ([0-9]+), "rhs": ([0-9]+),')
 
 
 def _scan(
     path: str, drop_torn_tail: bool, laws: int | None, forms: bytearray | None
-) -> Iterator[Row]:
-    """iter_rows' generator; with forms it also appends the flags of each
-    line read.  A line _ROW matches is read by _row, any other, and one _row
-    leaves, by json.loads and _row_from_dict."""
+) -> Iterator[tuple]:
+    """iter_rows' generator, yielding the rows as columns, a tuple of seven
+    sequences (lhs, rhs, status, method, stage, seconds, witness), for each
+    block of lines _columns reads and each line of any other block; with
+    forms it also appends the flags of each line read.  A block is
+    _BLOCK_CHARS characters and the rest of its last line.  A block
+    _columns leaves is read line by line from its first: a line _ROW
+    matches by _row, any other, and one _row leaves, by json.loads and
+    _row_from_dict."""
     # the pairs read so far: one int bitset of rhs ids per lhs, each id at
     # most limit, so no bitset grows past ROW_BITS bits
     seen: dict[int, int] = {}
     limit = ROW_BITS - 1 if laws is None else min(laws, ROW_BITS - 1)
-    match_row, row_of, ints = _ROW.match, _row, _Ints()
+    match_row, row_of = _ROW.match, _row
+    ints, methods, witnesses = _Ints(), _Strings(True), _Strings(False)
+    lineno = 0
     # a byte that is not UTF-8 is read as a lone surrogate, and decoding its
     # line strictly again raises the decoder's error, a ValueError, for that
     # line (any line: _row would read the surrogate in a witness)
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            try:
-                if not raw.isascii():
-                    raw.encode("utf-8", "surrogateescape").decode("utf-8")
-                match = match_row(raw)
-                row = None if match is None else row_of(raw, match, ints)
-                if row is None:
-                    line = raw.strip()
-                    if not line:
-                        if forms is not None:
-                            forms.append(_BLANK)
-                        continue
-                    # json.loads raises a JSONDecodeError, _unique_keys a
-                    # ValueError, int conversion a ValueError past its digit
-                    # limit, and arrays nested past the recursion limit a
-                    # RecursionError
-                    try:
-                        payload = json.loads(line, object_pairs_hook=_unique_keys)
-                    except (ValueError, RecursionError) as err:
-                        if drop_torn_tail and not raw.endswith("\n"):
-                            return
-                        raise ValueError(f"bad record: {err}") from None
-                    row = _row_from_dict(payload)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            lhs, rhs = row[0], row[1]
-            if lhs > limit or rhs > limit:
-                law = max(lhs, rhs)
-                bound = (
-                    f"the corpus has {laws} laws" if laws is not None and law > laws
-                    else f"law ids run to {ROW_BITS - 1}"
-                )
-                raise ValueError(f"{path}:{lineno}: pair {(lhs, rhs)} names law {law}, but {bound}")
-            bits = seen.get(lhs, 0)
-            if bits >> rhs & 1:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
-                    f"(first at line {_first_line(path, (lhs, rhs))})"
-                )
-            seen[lhs] = bits | 1 << rhs
-            if forms is not None:
-                # _ROW fixes every field's text but seconds' and the witness's;
-                # a null witness ends the line
-                if match is None:
-                    form = 0
-                elif match[7] is None:
-                    form = _SAME if raw == _record_line(row) else 0
-                else:
-                    form = _SAME if match[7] == "null}\n" and repr(row[5]) == match[6] else 0
-                if row[2] == UNSOLVED:
-                    form |= _UNSOLVED
-                forms.append(form)
-            yield row
+        while block := handle.read(_BLOCK_CHARS):
+            if not block.endswith("\n"):
+                block += handle.readline()
+            columns = _columns(block, ints, methods, witnesses, seen, limit, forms)
+            if columns is not None:
+                lineno += len(columns[0])
+                yield columns
+                continue
+            for raw in _LINES.findall(block):
+                lineno += 1
+                try:
+                    if not raw.isascii():
+                        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                    match = match_row(raw)
+                    row = None if match is None else row_of(raw, match, ints)
+                    if row is None:
+                        line = raw.strip()
+                        if not line:
+                            if forms is not None:
+                                forms.append(_BLANK)
+                            continue
+                        # json.loads raises a JSONDecodeError, _unique_keys a
+                        # ValueError, int conversion a ValueError past its
+                        # digit limit, and arrays nested past the recursion
+                        # limit a RecursionError
+                        try:
+                            payload = json.loads(line, object_pairs_hook=_unique_keys)
+                        except (ValueError, RecursionError) as err:
+                            if drop_torn_tail and not raw.endswith("\n"):
+                                return
+                            raise ValueError(f"bad record: {err}") from None
+                        row = _row_from_dict(payload)
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
+                lhs, rhs = row[0], row[1]
+                if lhs > limit or rhs > limit:
+                    law = max(lhs, rhs)
+                    bound = (
+                        f"the corpus has {laws} laws" if laws is not None and law > laws
+                        else f"law ids run to {ROW_BITS - 1}"
+                    )
+                    raise ValueError(
+                        f"{path}:{lineno}: pair {(lhs, rhs)} names law {law}, but {bound}"
+                    )
+                bits = seen.get(lhs, 0)
+                if bits >> rhs & 1:
+                    raise ValueError(
+                        f"{path}:{lineno}: duplicate record for pair {(lhs, rhs)} "
+                        f"(first at line {_first_line(path, (lhs, rhs))})"
+                    )
+                seen[lhs] = bits | 1 << rhs
+                if forms is not None:
+                    # _ROW fixes every field's text but seconds' and the
+                    # witness's; a null witness ends the line
+                    if match is None:
+                        form = 0
+                    elif match[7] is None:
+                        form = _SAME if raw == _record_line(row) else 0
+                    else:
+                        form = _SAME if match[7] == "null}\n" and repr(row[5]) == match[6] else 0
+                    if row[2] == UNSOLVED:
+                        form |= _UNSOLVED
+                    forms.append(form)
+                yield tuple(zip(row))  # a column of one row per field
+
+
+def _columns(
+    block: str, ints: _Ints, methods: _Strings, witnesses: _Strings,
+    seen: dict[int, int], limit: int, forms: bytearray | None,
+) -> tuple | None:
+    """The block's rows as seven columns, when every line of it is in the
+    writer's form (one _BLOCK_ROW match per newline, the block ending in
+    one) and passes every check _scan makes, each made over a whole column:
+    lhs differs from rhs, ids are at most limit, seconds are finite, and no
+    pair is in seen or twice in the block.  Only then do the block's pairs
+    join seen and, with forms, its lines' flags join forms.  None when a
+    line or a check fails or a conversion raises, as an id past int's digit
+    limit does; _scan then reads the block line by line."""
+    found = _BLOCK_ROW.findall(block)
+    if len(found) != block.count("\n") or not block.endswith("\n"):
+        return None
+    (lhs_texts, rhs_texts, status, method_texts, stage_texts, second_texts,
+     witness_texts) = zip(*found)
+    # ids have no sign or leading zero, so equal ids are equal texts
+    if any(map(eq, lhs_texts, rhs_texts)):
+        return None
+    try:
+        lhs = list(map(ints.__getitem__, lhs_texts))
+        rhs = list(map(ints.__getitem__, rhs_texts))
+    except ValueError:
+        return None
+    seconds = list(map(float, second_texts))
+    if max(lhs) > limit or max(rhs) > limit or math.inf in seconds:
+        return None
+    # the block's pairs as seen holds them, added to it once all are fresh
+    fresh: dict[int, int] = {}
+    for left, bits, count in _runs(zip(lhs, rhs)):
+        held = fresh.get(left, 0)
+        if bits.bit_count() < count or bits & (held | seen.get(left, 0)):
+            return None
+        fresh[left] = held | bits
+    for left, bits in fresh.items():
+        seen[left] = seen.get(left, 0) | bits
+    witness = list(map(witnesses.__getitem__, witness_texts))
+    if forms is not None:
+        # _BLOCK_ROW fixes every field's text but seconds' and an escaped
+        # witness's, and only a witness holds a backslash
+        same = list(map(eq, map(repr, seconds), second_texts))
+        if "\\" in block:
+            for i, text in enumerate(witness_texts):
+                if "\\" in text and encode_basestring_ascii(witness[i]) != text:
+                    same[i] = False
+        forms.extend(map(or_, same, map(_STATUS_FLAGS.__getitem__, status)))
+    return (
+        lhs, rhs, status, list(map(methods.__getitem__, method_texts)),
+        list(map(ints.__getitem__, stage_texts)), seconds, witness,
+    )
 
 
 def _record_of(line: str) -> Row:
@@ -319,6 +458,31 @@ def _status_map(records) -> StatusMap:
     return status_map
 
 
+def _fold(blocks, codes: array) -> StatusMap:
+    """The decided pairs' statuses in the blocks' columns, as _status_map
+    gathers them from rows, each run of one lhs in one (status, method)
+    folded into its row bitset at once; the code lhs * ROW_BITS + rhs of
+    each unsolved line's pair is appended to codes, in line order."""
+    rows: dict[tuple[str, str], tuple[StatusEntry, dict[int, int]]] = {}
+    for lhs, rhs, status, method, *_ in blocks:
+        unsolved = list(map(UNSOLVED.__eq__, status))
+        codes.extend(
+            map(add, map(ROW_BITS.__mul__, itertools.compress(lhs, unsolved)),
+                itertools.compress(rhs, unsolved))
+        )
+        keys = list(zip(status, method))
+        for key in dict.fromkeys(keys):  # in order of first appearance
+            if key[0] == UNSOLVED:
+                continue
+            shared = rows.get(key)
+            if shared is None:
+                shared = rows[key] = (StatusEntry(*key), {})
+            row = shared[1]
+            for left, bits, _ in _runs(itertools.compress(zip(lhs, rhs), map(key.__eq__, keys))):
+                row[left] = row.get(left, 0) | bits
+    return StatusMap(rows)
+
+
 def load_results(
     path: str, drop_torn_tail: bool = False, laws: int | None = None, keep_records: bool = True
 ) -> tuple[StatusMap, list[ResultRecord]]:
@@ -346,18 +510,21 @@ def propagate_log(path: str) -> int:
     by closure gets its unsolved record replaced.  A log closure adds nothing
     to is not rewritten.
 
-    The log is read twice and never held.  The first pass builds the status
-    map from rows and notes, per line, whether it is blank, whether it is
-    unsolved, and whether it is exactly _record_line of its record.  The
-    second streams the kept lines to the rewrite: a line noted so as it
-    stands, any other rendered by _record_line (a line can match the pattern
-    and still differ from it, as seconds 0.50 or a witness escaping "/" do).
+    The log is read twice and never held.  The first pass reads it a block
+    at a time, as iter_rows does, and folds each block's columns into the
+    status map, builds no row per line and notes, per line, whether it is
+    blank, whether it is unsolved, and whether it is exactly _record_line of
+    its record; an unsolved line's pair code goes to a flat array.  The
+    second streams the kept lines to the rewrite, an unsolved line's pair
+    read from that array: a line noted so as it stands, any other rendered
+    by _record_line (a line can match the pattern and still differ from
+    it, as seconds 0.50 or a witness escaping "/" do).
     Derived records differ only in their pair and rule, so each derived line
     is its pair followed by the rest of one line that _record_line renders
     per rule, in (lhs, rhs) order as the closed map's rule bitsets give
     them."""
-    forms = bytearray()
-    status_map = _status_map(_scan(path, False, None, forms))
+    forms, codes = bytearray(), array("q")
+    status_map = _fold(_scan(path, False, None, forms), codes)
     closed = propagate(status_map)
     added = len(closed) - len(status_map)
     if not added:
@@ -366,9 +533,10 @@ def propagate_log(path: str) -> int:
     # an unsolved pair is absent from status_map, so closure decides it only
     # by deriving it
     def kept_lines():
+        open_pairs = map(divmod, codes, itertools.repeat(ROW_BITS))
         with open(path, encoding="utf-8") as handle:
             for raw, form in zip(handle, forms):
-                if form == _BLANK or form & _UNSOLVED and closed.derives(_pair_of(raw)):
+                if form == _BLANK or form & _UNSOLVED and closed.derives(next(open_pairs)):
                     continue
                 yield raw if form & _SAME else _record_line(_record_of(raw))
 

@@ -262,8 +262,11 @@ def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
     rounds therefore write the same records; the first settles the pairs that
     fall early, the later ones bound what a cut-off set too short costs.  Each
     budget is capped at its stage's steps, and an attempt no larger than its
-    engine's in the round before is left out.  All are step budgets, so the
-    phase does the same work however loaded the host is.
+    engine's in the round before is left out.  A slice capped at the first
+    stage's whole budget is that stage's own search, so the stage's attempt
+    takes its place, recording what the stage records, and is not run again
+    after the rounds.  All are step budgets, so the phase does the same work
+    however loaded the host is.
     """
     walk = [
         (index, stage.budget, (PROVEN, REFUTED, UNSOLVED))
@@ -281,9 +284,11 @@ def _attempts(schedule: Schedule) -> list[tuple[int, Budget, tuple[str, ...]]]:
             for slice_steps, probe_steps in ROUNDS:
                 slice_steps = min(slice_steps, first.budget.steps)
                 probe_steps = min(probe_steps, stage.budget.steps)
-                if slice_steps > sliced:
+                if slice_steps == first.budget.steps > sliced:
+                    early.append(walk.pop(0))  # the stage's own attempt
+                elif slice_steps > sliced:
                     early.append((1, Budget.of_steps(slice_steps), (REFUTED,)))
-                    sliced = slice_steps
+                sliced = max(sliced, slice_steps)
                 if probe_steps > probed:
                     early.append((index, Budget.of_steps(probe_steps), (PROVEN,)))
                     probed = probe_steps

@@ -25,7 +25,7 @@ import pytest
 
 from conftest import oracle_countermodel_exists, oracle_holds, oracle_tables
 from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
-from eqimp import closure, runner, saturation
+from eqimp import closure, log, runner, saturation
 from eqimp.cli import main
 from eqimp.closure import PROVEN, REFUTED, StatusEntry, propagate
 from eqimp.models import (
@@ -525,17 +525,24 @@ def test_records_do_not_depend_on_the_rounds(tmp_path, monkeypatch):
 
 def test_a_short_first_stage_runs_each_slice_once(tmp_path, monkeypatch):
     # a first stage shorter than the last round's slice caps that slice at
-    # the steps an earlier round already ran, so it is left out
+    # the steps an earlier round already ran, so it is left out; a slice
+    # capped at the stage's whole budget is the stage's own search, so the
+    # stage's attempt runs there, recording what the stage records, and not
+    # again after the rounds
     corpus = _corpus(tmp_path, PROBED_LAWS)
     satur = _mini_schedule().stages[1]
     short = Schedule((MethodSpec("short-fmb", ENGINE_FMB, Budget.of_steps(30), 4), satur))
     assert 30 < runner.ROUNDS[-1][0]
     attempts = runner._attempts(short)
-    slices = [budget.steps for _, budget, statuses in attempts if statuses == (REFUTED,)]
+    searches = [(budget.steps, statuses) for index, budget, statuses in attempts if index == 1]
     probes = [budget.steps for _, budget, statuses in attempts if statuses == (PROVEN,)]
-    assert len(slices) == len(set(slices)) and max(slices) == 30
+    assert searches[-1] == (30, (PROVEN, REFUTED, UNSOLVED))
+    assert [steps for steps, _ in searches] == sorted({steps for steps, _ in searches})
     assert probes == sorted(set(probes)) and len(probes) == len(runner.ROUNDS)
+    calls = _recording(monkeypatch)
     records = _mini_records(corpus, short)
+    # one 30-step search per premise, each of which has open pairs
+    assert [budget.steps for kind, budget, _ in calls if kind == "fmb"].count(30) == corpus.count
     monkeypatch.setattr(runner, "ROUNDS", ())
     assert _mini_records(corpus, short) == records
 
@@ -732,9 +739,23 @@ def test_log_rewrite_failing_midway_leaves_the_log_intact(tmp_path, monkeypatch,
             raise RuntimeError("disk full")
         return original(record)
 
-    # run writes through runner's binding, closure through the log module's
-    target = "eqimp.runner" if rewrite == "resume" else "eqimp.log"
-    monkeypatch.setattr(f"{target}._record_line", fail_on_second_line)
+    def fail_after_first_line(path, lines):
+        def lines_then_failure():
+            for count, line in enumerate(lines):
+                if count == 1:
+                    raise RuntimeError("disk full")
+                yield line
+
+        return write_log(path, lines_then_failure())
+
+    # run renders each record it writes through runner's _record_line;
+    # closure copies the lines it keeps as they stand, so its rewrite fails
+    # once the temporary file holds its first line
+    write_log = runner._write_log
+    if rewrite == "resume":
+        monkeypatch.setattr("eqimp.runner._record_line", fail_on_second_line)
+    else:
+        monkeypatch.setattr("eqimp.log._write_log", fail_after_first_line)
     with pytest.raises(RuntimeError, match="disk full"):
         if rewrite == "resume":
             run(corpus, _mini_schedule(), RunConfig(str(out), resume=True))
@@ -1447,6 +1468,135 @@ def test_respaced_or_reordered_lines_read_as_the_same_records(tmp_path):
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
     _, loaded = load_results(str(out))
     assert _typed(loaded) == _typed(records)
+
+
+def _closable_lines(rng, laws=12):
+    """Writer lines over a hidden preorder on laws laws, a third of the pairs
+    decided, with witnesses json escapes; one line in ten keeps its record
+    but not the writer's text (seconds with a trailing zero, "/" or an
+    accented letter escaped otherwise), one in ten has an integral seconds."""
+    features = [rng.getrandbits(4) for _ in range(laws)]
+    lines = []
+    for lhs, rhs in itertools.permutations(range(1, laws + 1), 2):
+        seconds = rng.choice((rng.random(), rng.choice(_SECONDS)))
+        status, method, stage = UNSOLVED, None, None
+        if rng.random() < 0.3:
+            status = PROVEN if features[rhs - 1] & ~features[lhs - 1] == 0 else REFUTED
+            method, stage = (("satur-500i", 2) if status == PROVEN else ("fmb-500i", 1))
+        witness = rng.choice((None, _random_witness(rng)))
+        line = runner._record_line(ResultRecord(lhs, rhs, status, method, stage, seconds, witness))
+        if rng.random() < 0.1:
+            text = repr(seconds)
+            if "." in text and "e" not in text:
+                line = line.replace(f'"seconds": {text},', f'"seconds": {text}0,')
+            line = line.replace("/", "\\/").replace("\\u00e9", "\\u00E9")
+        lines.append(line)
+    return lines
+
+
+def _block_cases():
+    """(name, log text) for the block reader's tests."""
+    rng = random.Random(12)
+    writer = [runner._record_line(record) for record in _random_records(rng, 400)]
+    respaced = [
+        json.dumps(dataclasses.asdict(record), separators=rng.choice(((",", ":"), (", ", ": "))))
+        + "\n"
+        for record in _random_records(rng, 400)
+    ]
+    closable = _closable_lines(random.Random(13))
+    # longer than any block, and a pair the other lines do not hold
+    long = runner._record_line(ResultRecord(70, 71, PROVEN, "p", 2, 0.5, "step 1\n" * 6000))
+    # characters str.splitlines would split a line at, raw in a witness: a
+    # JSON string may hold these, but not the controls "\x0b" and "\x1c"
+    breaks = json.dumps(
+        {"lhs": 70, "rhs": 72, "status": "proven", "method": "p", "stage": 2,
+         "seconds": 0.5, "witness": "a\u2028b\x85c\u2029d"},
+        ensure_ascii=False,
+    ) + "\n"
+    control = breaks.replace("\x85", "\x0b").replace("\u2029", "\x1c")
+    # a line in the writer's form, or nearly, failing one of the checks a
+    # block makes column by column, or one its pattern makes
+    edge = runner._record_line(ResultRecord(70, 73, PROVEN, "p", 2, 0.5, None))
+    edges = {
+        "same-ids": ('"rhs": 73', '"rhs": 70'),
+        "infinite-seconds": ('"seconds": 0.5', '"seconds": 1e+999'),
+        "decided-null-method": ('"method": "p"', '"method": null'),
+        "decided-null-stage": ('"stage": 2', '"stage": null'),
+        "law-past-the-bound": ('"rhs": 73', '"rhs": 70000'),
+        "id-5000-digits": ('"lhs": 70', '"lhs": ' + "7" * 5000),
+        "leading-space": ('{"lhs"', ' {"lhs"'),
+        "leading-letter": ('{"lhs"', 'x{"lhs"'),
+    }
+    return [
+        ("writer", "".join(writer)),
+        ("respaced", "".join(respaced)),
+        ("closable", "".join(closable)),
+        # the first copy of the pair in an earlier block than the second
+        ("duplicate", "".join(closable) + closable[3]),
+        # a bad line after writer lines in its block
+        ("bad-line", "".join(closable[:40]) + closable[40][:50] + "\n" + "".join(closable[41:])),
+        ("long-line", "".join(closable[:20]) + long + "".join(closable[20:])),
+        ("torn-tail", "".join(closable) + long[:-9]),
+        ("raw-line-breaks", "".join(closable[:30]) + breaks + "".join(closable[30:])),
+        ("raw-control", "".join(closable[:30]) + control + "".join(closable[30:])),
+        *(
+            (name, "".join(closable[:30]) + edge.replace(*edit) + "".join(closable[30:]))
+            for name, edit in edges.items()
+        ),
+    ]
+
+
+def _rows_and_closure(path, text):
+    """What iter_rows reads from the log with and without drop_torn_tail,
+    and the count and bytes propagate_log leaves, or each one's error."""
+    outcome = []
+    for torn in (False, True):
+        pathlib.Path(path).write_bytes(text.encode("utf-8"))
+        outcome.append(_read(lambda: iter_rows(path, drop_torn_tail=torn)))
+    try:
+        outcome.append((propagate_log(path), pathlib.Path(path).read_bytes()))
+    except ValueError as err:
+        outcome.append(str(err))
+    return outcome
+
+
+@pytest.mark.parametrize("block_chars", [64, 1 << 10, log._BLOCK_CHARS])
+@pytest.mark.parametrize(
+    "name, text", _block_cases(), ids=[case[0] for case in _block_cases()]
+)
+def test_blocks_read_as_lines_do(tmp_path, monkeypatch, name, text, block_chars):
+    # a block in the writer's form is read column by column, any other line
+    # by line; the reader, forced to read every block line by line, gives
+    # the same rows, closed log and error texts, whatever the block size
+    path = str(tmp_path / "out.jsonl")
+    columns = log._columns
+    read = []
+
+    def reading(*args):
+        block = columns(*args)
+        read.append(block is not None)
+        return block
+
+    monkeypatch.setattr("eqimp.log._BLOCK_CHARS", block_chars)
+    monkeypatch.setattr("eqimp.log._columns", reading)
+    blocks = _rows_and_closure(path, text)
+    # one line a block: every line in the writer's form is read as a block
+    assert any(read) or block_chars > 64
+    readable = name in (
+        "writer", "respaced", "closable", "long-line", "raw-line-breaks", "leading-space"
+    )
+    assert (type(blocks[0]) is list) == readable
+    if readable:  # as json.loads reads each line the file iterates
+        oracle = tmp_path / "oracle.jsonl"
+        oracle.write_bytes(text.encode("utf-8"))
+        with open(oracle, encoding="utf-8") as handle:
+            assert blocks[0] == _typed(
+                log.Row(**json.loads(line)) for line in handle if not line.isspace()
+            )
+    monkeypatch.setattr("eqimp.log._columns", lambda *args: None)
+    assert blocks == _rows_and_closure(path, text)
+    if name == "closable":
+        assert type(blocks[2]) is tuple and blocks[2][0] > 0
 
 
 def test_propagate_log_writes_json_dumps_lines(tmp_path):
