@@ -107,15 +107,6 @@ class StatusMap(Mapping):
         self._rows: dict[tuple[str, str], tuple[StatusEntry, dict[int, int]]] = dict(rows)
         self._len = sum(bits.bit_count() for _, row in self._rows.values() for bits in row.values())
 
-    def add(self, lhs: int, rhs: int, status: str, provenance: str) -> None:
-        """Put a pair the map does not hold yet (a log's reader checks that)."""
-        shared = self._rows.get((status, provenance))
-        if shared is None:
-            shared = self._rows[(status, provenance)] = (StatusEntry(status, provenance), {})
-        row = shared[1]
-        row[lhs] = row.get(lhs, 0) | 1 << rhs
-        self._len += 1
-
     def where(self, keep) -> StatusMap:
         """The pairs whose entry passes keep, sharing this map's rows."""
         return StatusMap((key, shared) for key, shared in self._rows.items() if keep(shared[0]))

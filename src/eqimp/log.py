@@ -4,14 +4,14 @@ A record has seven fields, written in this order: lhs, rhs, status, method,
 stage, seconds and witness.  _record_line renders a record exactly as
 json.dumps(vars(record)) does, and iter_rows is the log's only reader: it
 checks every line as it reads it and yields each record as a Row.  It reads
-the log a block of whole lines at a time.  A block whose every line is in
-the writer's form is matched by one findall and converted and checked column
-by column; any other block is read line by line from its first line, a line
-in the writer's form by one whole-line pattern and any other by json.loads.
-All give the same rows and the same errors.  load_results folds the rows
-into closure's status map, and propagate_log closes a log in place, folding
-each block's columns into the status map and keeping each unsolved line's
-pair code for its second pass.  Nothing here runs an engine.
+a line one of two ways, taking the log a block of whole lines at a time: a
+block whose every line is in the writer's form is matched by one findall
+and converted and checked column by column, and any other block is read
+line by line from its first line by json.loads.  Both give the same rows
+and the same errors.  load_results and propagate_log both fold each
+block's columns into closure's status map; propagate_log then closes the
+log in place, keeping each unsolved line's pair code for its second pass.
+Nothing here runs an engine.
 """
 
 from __future__ import annotations
@@ -94,31 +94,21 @@ def _record_line(record: ResultRecord | Row) -> str:
     )
 
 
-# A whole line as _record_line writes it, admitting only what ResultRecord
-# admits but for three checks _row makes: lhs differs from rhs, a decided
-# record has a method and a stage, and seconds is finite.  Ids and stage are
-# JSON ints without a sign, status one of the three, method made only of
-# characters JSON prints unescaped, seconds with a point or an exponent as
-# float's repr prints it (json.loads reads an integral seconds as an int, so
-# that line is left to it).  The line ends at a null witness; a witness
-# string, last and long, is left to json's string scanner after its opening
-# quote.
+# A line as _record_line writes it, matched over a block of lines, one match
+# per line, its newline included, with each field's text a group.  It admits
+# only what ResultRecord admits but for two checks _columns makes: lhs
+# differs from rhs, and seconds is finite.  Ids and stage are JSON ints
+# without a sign or leading zero, status one of the three, a decided
+# record's lookahead asks for a method and a stage, method is made only of
+# characters JSON prints unescaped, and seconds has a point or an exponent
+# as float's repr prints it (json.loads reads an integral seconds as an int,
+# so that line is left to it).  Method and witness keep their quotes (or are
+# null).  A witness is a JSON string in ASCII, any of json's escapes
+# included, unrolled so that no text matches two ways.  The line anchor
+# keeps a match from starting within a line.
 _ID = r"[1-9][0-9]*"
 _PLAIN = r"[ !#-\[\]-~]*"
 _SECONDS = rf"(?:0|{_ID})(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
-_ROW = re.compile(
-    rf'\{{"lhs": ({_ID}), "rhs": ({_ID}), "status": "(proven|refuted|unsolved)", '
-    rf'"method": (?:null|"({_PLAIN})"), "stage": (null|0|{_ID}), '
-    rf'"seconds": ({_SECONDS}), '
-    r'"witness": (?:(null\}\n?)\Z|")'
-)
-
-# _ROW over a block of lines, one match per line in the writer's form, its
-# newline included, with each field's text a group: method and witness keep
-# their quotes (or are null), and a decided record's lookahead asks for a
-# method and a stage.  A witness is a JSON string in ASCII, any of json's
-# escapes included, unrolled so that no text matches two ways.  The line
-# anchor keeps a match from starting within a line.
 _STRING = rf'"{_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*"'
 _BLOCK_ROW = re.compile(
     rf'^\{{"lhs": ({_ID}), "rhs": ({_ID}), '
@@ -176,30 +166,6 @@ def _runs(pairs) -> Iterator[tuple[int, int, int]]:
         yield lhs, functools.reduce(or_, map(_BIT, rights)), len(rights)
 
 
-def _row(line: str, match: re.Match, ints: _Ints) -> Row | None:
-    """The row of a line _ROW matches, as json.loads and ResultRecord read it.
-    None when its numbers or witness do not convert (a digit count past int's
-    limit, a bad escape) or the line goes on past its witness, so that
-    json.loads reports it; a record ResultRecord rejects raises its error."""
-    lhs, rhs, status, method, stage, seconds, null = match.groups()
-    try:
-        if null is None:
-            witness, end = scanstring(line, match.end())
-            if line[end:] not in ("}\n", "}"):
-                return None
-        else:
-            witness = None
-        # Row(...) would go through namedtuple's __new__, written in Python
-        row = tuple.__new__(
-            Row, (ints[lhs], ints[rhs], status, method, ints[stage], float(seconds), witness)
-        )
-    except ValueError:
-        return None
-    if lhs == rhs or row[5] == math.inf or status != UNSOLVED and (method is None or stage == "null"):
-        ResultRecord(*row)  # raises with the message of the check it fails
-    return row
-
-
 def _write_log(path: str, lines) -> None:
     """Replace the log with these lines, each a record as _record_line writes
     it, in one rename, so a run killed mid-write leaves the previous log
@@ -253,14 +219,13 @@ def iter_rows(
     naming the line, raised when the reader reaches it, after the rows of
     the lines before it, and so is a line that is not UTF-8, with the
     decoder's own message.  The log is read a block of whole lines at a
-    time: a block whose every line is in the writer's form is read by one
-    pattern and checked column by column, any other line by line, a line as
-    _record_line writes it by one pattern and any other by json.loads; all
-    give the same row.  With drop_torn_tail, an unparsable final line
-    without its newline (a write cut short by a killed run) is skipped.
-    A record naming a law id past ROW_BITS - 1 is an error too, and so,
-    with laws, the size of the corpus the log should belong to, is one
-    naming a higher id."""
+    time: a block whose every line is in the writer's form by one findall,
+    checked column by column, and any other block line by line by
+    json.loads; both give the same rows.  With drop_torn_tail, an
+    unparsable final line without its newline (a write cut short by a
+    killed run) is skipped.  A record naming a law id past ROW_BITS - 1 is
+    an error too, and so, with laws, the size of the corpus the log should
+    belong to, is one naming a higher id."""
     return itertools.chain.from_iterable(map(_rows, _scan(path, drop_torn_tail, laws, None)))
 
 
@@ -275,8 +240,6 @@ def _rows(columns: tuple) -> Iterator[Row]:
 # writes it) or else render its record again
 _SAME, _UNSOLVED, _BLANK = 1, 2, 4
 _STATUS_FLAGS = {PROVEN: 0, REFUTED: 0, UNSOLVED: _UNSOLVED}
-# the start of a line whose keys come in _RECORD_KEYS order
-_PAIR = re.compile(r'\{"lhs": ([0-9]+), "rhs": ([0-9]+),')
 
 
 def _scan(
@@ -287,19 +250,17 @@ def _scan(
     block of lines _columns reads and each line of any other block; with
     forms it also appends the flags of each line read.  A block is
     _BLOCK_CHARS characters and the rest of its last line.  A block
-    _columns leaves is read line by line from its first: a line _ROW
-    matches by _row, any other, and one _row leaves, by json.loads and
-    _row_from_dict."""
+    _columns leaves is read line by line from its first, each line by
+    json.loads and _row_from_dict."""
     # the pairs read so far: one int bitset of rhs ids per lhs, each id at
     # most limit, so no bitset grows past ROW_BITS bits
     seen: dict[int, int] = {}
     limit = ROW_BITS - 1 if laws is None else min(laws, ROW_BITS - 1)
-    match_row, row_of = _ROW.match, _row
     ints, methods, witnesses = _Ints(), _Strings(True), _Strings(False)
     lineno = 0
     # a byte that is not UTF-8 is read as a lone surrogate, and decoding its
     # line strictly again raises the decoder's error, a ValueError, for that
-    # line (any line: _row would read the surrogate in a witness)
+    # line (any line: json.loads would read the surrogate in a string)
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         while block := handle.read(_BLOCK_CHARS):
             if not block.endswith("\n"):
@@ -314,25 +275,22 @@ def _scan(
                 try:
                     if not raw.isascii():
                         raw.encode("utf-8", "surrogateescape").decode("utf-8")
-                    match = match_row(raw)
-                    row = None if match is None else row_of(raw, match, ints)
-                    if row is None:
-                        line = raw.strip()
-                        if not line:
-                            if forms is not None:
-                                forms.append(_BLANK)
-                            continue
-                        # json.loads raises a JSONDecodeError, _unique_keys a
-                        # ValueError, int conversion a ValueError past its
-                        # digit limit, and arrays nested past the recursion
-                        # limit a RecursionError
-                        try:
-                            payload = json.loads(line, object_pairs_hook=_unique_keys)
-                        except (ValueError, RecursionError) as err:
-                            if drop_torn_tail and not raw.endswith("\n"):
-                                return
-                            raise ValueError(f"bad record: {err}") from None
-                        row = _row_from_dict(payload)
+                    line = raw.strip()
+                    if not line:
+                        if forms is not None:
+                            forms.append(_BLANK)
+                        continue
+                    # json.loads raises a JSONDecodeError, _unique_keys a
+                    # ValueError, int conversion a ValueError past its digit
+                    # limit, and arrays nested past the recursion limit a
+                    # RecursionError
+                    try:
+                        payload = json.loads(line, object_pairs_hook=_unique_keys)
+                    except (ValueError, RecursionError) as err:
+                        if drop_torn_tail and not raw.endswith("\n"):
+                            return
+                        raise ValueError(f"bad record: {err}") from None
+                    row = _row_from_dict(payload)
                 except ValueError as err:
                     raise ValueError(f"{path}:{lineno}: {err}") from None
                 lhs, rhs = row[0], row[1]
@@ -353,17 +311,8 @@ def _scan(
                     )
                 seen[lhs] = bits | 1 << rhs
                 if forms is not None:
-                    # _ROW fixes every field's text but seconds' and the
-                    # witness's; a null witness ends the line
-                    if match is None:
-                        form = 0
-                    elif match[7] is None:
-                        form = _SAME if raw == _record_line(row) else 0
-                    else:
-                        form = _SAME if match[7] == "null}\n" and repr(row[5]) == match[6] else 0
-                    if row[2] == UNSOLVED:
-                        form |= _UNSOLVED
-                    forms.append(form)
+                    form = _SAME if raw == _record_line(row) else 0
+                    forms.append(form | _STATUS_FLAGS[row[2]])
                 yield tuple(zip(row))  # a column of one row per field
 
 
@@ -422,20 +371,7 @@ def _columns(
 
 def _record_of(line: str) -> Row:
     """The record of a line that iter_rows has read, as a Row."""
-    match = _ROW.match(line)
-    row = None if match is None else _row(line, match, _Ints())
-    if row is None:
-        return _row_from_dict(json.loads(line, object_pairs_hook=_unique_keys))
-    return row
-
-
-def _pair_of(line: str) -> tuple[int, int]:
-    """The pair of a line that iter_rows has read."""
-    match = _PAIR.match(line)
-    if match is None:
-        record = _record_of(line)
-        return record.lhs, record.rhs
-    return int(match[1]), int(match[2])
+    return _row_from_dict(json.loads(line, object_pairs_hook=_unique_keys))
 
 
 def _first_line(path: str, pair: tuple[int, int]) -> int | None:
@@ -443,26 +379,17 @@ def _first_line(path: str, pair: tuple[int, int]) -> int | None:
     # the lines up to the duplicate decode; a later one may not
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
-            if not raw.isspace() and _pair_of(raw) == pair:
+            if not raw.isspace() and _record_of(raw)[:2] == pair:
                 return lineno
     return None
 
 
-def _status_map(records) -> StatusMap:
-    """The decided records' statuses, keyed for closure.propagate."""
-    status_map = StatusMap()
-    add = status_map.add
-    for record in records:
-        if record.status != UNSOLVED:
-            add(record.lhs, record.rhs, record.status, record.method)
-    return status_map
-
-
 def _fold(blocks, codes: array) -> StatusMap:
-    """The decided pairs' statuses in the blocks' columns, as _status_map
-    gathers them from rows, each run of one lhs in one (status, method)
-    folded into its row bitset at once; the code lhs * ROW_BITS + rhs of
-    each unsolved line's pair is appended to codes, in line order."""
+    """The decided pairs' statuses in the blocks' columns, keyed for
+    closure.propagate: one entry per (status, method), in order of first
+    appearance, each run of one lhs in one entry folded into its row bitset
+    at once; the code lhs * ROW_BITS + rhs of each unsolved line's pair is
+    appended to codes, in line order."""
     rows: dict[tuple[str, str], tuple[StatusEntry, dict[int, int]]] = {}
     for lhs, rhs, status, method, *_ in blocks:
         unsolved = list(map(UNSOLVED.__eq__, status))
@@ -486,21 +413,29 @@ def _fold(blocks, codes: array) -> StatusMap:
 def load_results(
     path: str, drop_torn_tail: bool = False, laws: int | None = None, keep_records: bool = True
 ) -> tuple[StatusMap, list[ResultRecord]]:
-    """The log read through iter_rows, with its checks: its status map,
+    """The log read as iter_rows reads it, with its checks: its status map,
     which carries decided pairs only, keyed for closure.propagate, and its
-    records in line order (an empty list without keep_records, which reads
-    rows alone).  The status map is a closure.StatusMap, one row bitset per
-    law for each distinct (status, method), so it holds no dict entry per
-    pair; the records share one copy of each status and method string."""
-    rows = iter_rows(path, drop_torn_tail, laws)
-    if not keep_records:
-        return _status_map(rows), []
-    share = {}.setdefault
-    records = [
-        ResultRecord(lhs, rhs, share(status, status), share(method, method), stage, seconds, witness)
-        for lhs, rhs, status, method, stage, seconds, witness in rows
-    ]
-    return _status_map(records), records
+    records in line order (an empty list without keep_records).  The status
+    map is a closure.StatusMap, one row bitset per law for each distinct
+    (status, method), folded from each block's columns by _fold, so it holds
+    no dict entry per pair; the records share one copy of each status and
+    method string."""
+    blocks = _scan(path, drop_torn_tail, laws, None)
+    records: list[ResultRecord] = []
+    if keep_records:
+        share = {}.setdefault
+
+        def keeping(blocks):
+            for columns in blocks:
+                lhs, rhs, status, method, *rest = columns
+                records.extend(map(
+                    ResultRecord, lhs, rhs, map(share, status, status), map(share, method, method),
+                    *rest,
+                ))
+                yield columns
+
+        blocks = keeping(blocks)
+    return _fold(blocks, array("q")), records
 
 
 def propagate_log(path: str) -> int:
@@ -517,8 +452,8 @@ def propagate_log(path: str) -> int:
     its record; an unsolved line's pair code goes to a flat array.  The
     second streams the kept lines to the rewrite, an unsolved line's pair
     read from that array: a line noted so as it stands, any other rendered
-    by _record_line (a line can match the pattern and still differ from
-    it, as seconds 0.50 or a witness escaping "/" do).
+    by _record_line (a line can hold the writer's fields and still differ
+    from it, as seconds 0.50 or a witness escaping "/" do).
     Derived records differ only in their pair and rule, so each derived line
     is its pair followed by the rest of one line that _record_line renders
     per rule, in (lhs, rhs) order as the closed map's rule bitsets give

@@ -48,19 +48,7 @@ from dataclasses import dataclass
 from .budget import Budget
 from .closure import DERIVED_PREFIX, PROVEN, REFUTED, ROW_BITS
 from .closure import propagate  # noqa: F401 - the benchmark's traced pass wraps it here
-from .log import (  # noqa: F401 - the log's names, importable from here as before
-    CLOSURE_STAGE,
-    UNSOLVED,
-    ResultRecord,
-    Row,
-    _ROW,
-    _ends_with_newline,
-    _record_line,
-    _write_log,
-    iter_rows,
-    load_results,
-    propagate_log,
-)
+from .log import UNSOLVED, ResultRecord, _ends_with_newline, _record_line, _write_log, load_results
 from .models import FOUND, find_countermodels, format_countermodel
 from .models import find_countermodel  # noqa: F401 - the benchmark's traced pass wraps it here
 from .saturation import PROVED, SATURATED, format_proof, saturate, saturate_many

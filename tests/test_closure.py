@@ -13,7 +13,7 @@ from eqimp.closure import (
     StatusEntry,
     propagate,
 )
-from eqimp.log import UNSOLVED, ResultRecord, _record_line, _status_map, iter_rows
+from eqimp.log import UNSOLVED, ResultRecord, _record_line, load_results
 from eqimp.terms import parse_equation
 
 
@@ -332,7 +332,7 @@ def _log_status_map(tmp_path):
     ]
     path = tmp_path / "out.jsonl"
     path.write_text("".join(map(_record_line, rows)), encoding="utf-8")
-    return _status_map(iter_rows(str(path)))
+    return load_results(str(path), keep_records=False)[0]
 
 
 def _assert_lookups_match(mapping, reference, probes):

@@ -28,6 +28,7 @@ from eqimp.budget import OUT_OF_BUDGET, UNLIMITED, Budget
 from eqimp import closure, log, runner, saturation
 from eqimp.cli import main
 from eqimp.closure import PROVEN, REFUTED, StatusEntry, propagate
+from eqimp.log import CLOSURE_STAGE, _BLOCK_ROW, iter_rows, propagate_log
 from eqimp.models import (
     FOUND,
     Countermodel,
@@ -40,7 +41,6 @@ from eqimp.models import (
 )
 from eqimp.report import histogram, render, summarize
 from eqimp.runner import (
-    CLOSURE_STAGE,
     ENGINE_FMB,
     ENGINE_SATUR,
     UNSOLVED,
@@ -51,11 +51,9 @@ from eqimp.runner import (
     attempt_pair,
     attempt_premise,
     default_schedule,
-    iter_rows,
     load_results,
     load_schedule,
     parse_schedule,
-    propagate_log,
     run,
 )
 from eqimp.saturation import (
@@ -1363,7 +1361,7 @@ def test_a_line_that_is_not_utf_8_is_an_error_naming_it(tmp_path, capsys):
     # string scanner would read with the byte as a lone surrogate
     witnessed = runner._record_line(ResultRecord(2, 1, UNSOLVED, None, None, 0.5, "step e"))
     bad_witness = witnessed.encode().replace(b"step e", b"step \xe9")
-    assert runner._ROW.match(bad_witness.decode("utf-8", "surrogateescape"))
+    assert _BLOCK_ROW.fullmatch(witnessed)
     before = b"".join(good(1, rhs) for rhs in range(2, 60))  # in the same decoded chunk
     log = tmp_path / "out.jsonl"
     path = str(log)
@@ -1468,6 +1466,46 @@ def test_respaced_or_reordered_lines_read_as_the_same_records(tmp_path):
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
     _, loaded = load_results(str(out))
     assert _typed(loaded) == _typed(records)
+
+
+
+@pytest.mark.parametrize("block_chars", [64, 1 << 10])
+def test_loads_with_and_without_records_fold_one_status_map(tmp_path, monkeypatch, block_chars):
+    # runs of writer lines the block pattern reads between runs of lines it
+    # leaves to json.loads: respaced ones, integral seconds, escaped methods;
+    # unsolved records in both
+    rng = random.Random(8)
+    records = _random_records(rng, 3000)
+    rng.shuffle(records)
+    plain, other = [], []
+    for record in records:
+        fits = type(record.seconds) is float and record.method not in _ESCAPED_METHODS
+        (plain if fits else other).append(record)
+    lines = []
+    for start in range(0, len(records), 20):
+        lines.extend(map(runner._record_line, plain[start:start + 20]))
+        for record in other[start:start + 20]:
+            if rng.random() < 0.5:
+                lines.append(json.dumps(dataclasses.asdict(record), separators=(",", ":")) + "\n")
+            else:
+                lines.append(runner._record_line(record))
+    out = tmp_path / "out.jsonl"
+    out.write_text("".join(lines), encoding="ascii")
+    monkeypatch.setattr("eqimp.log._BLOCK_CHARS", block_chars)
+    # json's oracle: entries in first-appearance order of (status, method),
+    # each entry's pairs in (lhs, rhs) order
+    pairs = {}
+    for line in lines:
+        record = json.loads(line)
+        if record["status"] != UNSOLVED:
+            key = (record["status"], record["method"])
+            pairs.setdefault(key, []).append((record["lhs"], record["rhs"]))
+    expected = [
+        (pair, StatusEntry(*key)) for key, entry_pairs in pairs.items() for pair in sorted(entry_pairs)
+    ]
+    with_records = list(load_results(str(out))[0].items())
+    assert with_records == list(load_results(str(out), keep_records=False)[0].items())
+    assert with_records == expected
 
 
 def _closable_lines(rng, laws=12):
