@@ -16,7 +16,6 @@ Nothing here runs an engine.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -28,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from operator import add, eq, itemgetter, or_
+from operator import eq, or_
 
 from .closure import PROVEN, REFUTED, ROW_BITS, StatusEntry, StatusMap, propagate
 
@@ -153,17 +152,6 @@ class _Strings(dict):
         if self.keep:
             self[text] = value
         return value
-
-
-_BIT = (1).__lshift__  # the bitset of one id
-
-
-def _runs(pairs) -> Iterator[tuple[int, int, int]]:
-    """(lhs, bitset of the rhs ids, number of pairs) for each run of pairs
-    with one lhs."""
-    for lhs, run in itertools.groupby(pairs, itemgetter(0)):
-        rights = list(map(itemgetter(1), run))
-        yield lhs, functools.reduce(or_, map(_BIT, rights)), len(rights)
 
 
 def _write_log(path: str, lines) -> None:
@@ -322,8 +310,8 @@ def _columns(
 ) -> tuple | None:
     """The block's rows as seven columns, when every line of it is in the
     writer's form (one _BLOCK_ROW match per newline, the block ending in
-    one) and passes every check _scan makes, each made over a whole column:
-    lhs differs from rhs, ids are at most limit, seconds are finite, and no
+    one) and passes every check _scan makes over the whole block: lhs
+    differs from rhs, ids are at most limit, seconds are finite, and no
     pair is in seen or twice in the block.  Only then do the block's pairs
     join seen and, with forms, its lines' flags join forms.  None when a
     line or a check fails or a conversion raises, as an id past int's digit
@@ -344,15 +332,15 @@ def _columns(
     seconds = list(map(float, second_texts))
     if max(lhs) > limit or max(rhs) > limit or math.inf in seconds:
         return None
-    # the block's pairs as seen holds them, added to it once all are fresh
+    # seen's bitset of each lhs the block names with the block's pairs
+    # added, merged into seen once every pair is fresh
     fresh: dict[int, int] = {}
-    for left, bits, count in _runs(zip(lhs, rhs)):
-        held = fresh.get(left, 0)
-        if bits.bit_count() < count or bits & (held | seen.get(left, 0)):
+    for left, right in zip(lhs, rhs):
+        bits = fresh.get(left) or seen.get(left, 0)
+        if bits >> right & 1:
             return None
-        fresh[left] = held | bits
-    for left, bits in fresh.items():
-        seen[left] = seen.get(left, 0) | bits
+        fresh[left] = bits | 1 << right
+    seen.update(fresh)
     witness = list(map(witnesses.__getitem__, witness_texts))
     if forms is not None:
         # _BLOCK_ROW fixes every field's text but seconds' and an escaped
@@ -384,30 +372,24 @@ def _first_line(path: str, pair: tuple[int, int]) -> int | None:
     return None
 
 
-def _fold(blocks, codes: array) -> StatusMap:
+def _fold(blocks, codes: array | None = None) -> StatusMap:
     """The decided pairs' statuses in the blocks' columns, keyed for
     closure.propagate: one entry per (status, method), in order of first
-    appearance, each run of one lhs in one entry folded into its row bitset
-    at once; the code lhs * ROW_BITS + rhs of each unsolved line's pair is
-    appended to codes, in line order."""
-    rows: dict[tuple[str, str], tuple[StatusEntry, dict[int, int]]] = {}
+    appearance, each pair setting its rhs bit in its entry's row bitset of
+    its lhs.  With codes, the code lhs * ROW_BITS + rhs of each unsolved
+    line's pair is appended to it, in line order."""
+    rows: dict[tuple[str, str], dict[int, int]] = {}
     for lhs, rhs, status, method, *_ in blocks:
-        unsolved = list(map(UNSOLVED.__eq__, status))
-        codes.extend(
-            map(add, map(ROW_BITS.__mul__, itertools.compress(lhs, unsolved)),
-                itertools.compress(rhs, unsolved))
-        )
-        keys = list(zip(status, method))
-        for key in dict.fromkeys(keys):  # in order of first appearance
+        for left, right, key in zip(lhs, rhs, zip(status, method)):
             if key[0] == UNSOLVED:
+                if codes is not None:
+                    codes.append(left * ROW_BITS + right)
                 continue
-            shared = rows.get(key)
-            if shared is None:
-                shared = rows[key] = (StatusEntry(*key), {})
-            row = shared[1]
-            for left, bits, _ in _runs(itertools.compress(zip(lhs, rhs), map(key.__eq__, keys))):
-                row[left] = row.get(left, 0) | bits
-    return StatusMap(rows)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {}
+            row[left] = row.get(left, 0) | 1 << right
+    return StatusMap((key, (StatusEntry(*key), row)) for key, row in rows.items())
 
 
 def load_results(
@@ -417,9 +399,9 @@ def load_results(
     which carries decided pairs only, keyed for closure.propagate, and its
     records in line order (an empty list without keep_records).  The status
     map is a closure.StatusMap, one row bitset per law for each distinct
-    (status, method), folded from each block's columns by _fold, so it holds
-    no dict entry per pair; the records share one copy of each status and
-    method string."""
+    (status, method), folded by _fold from each block's columns as they are
+    read, so it holds no dict entry per pair; the records share one copy of
+    each status and method string."""
     blocks = _scan(path, drop_torn_tail, laws, None)
     records: list[ResultRecord] = []
     if keep_records:
@@ -435,7 +417,7 @@ def load_results(
                 yield columns
 
         blocks = keeping(blocks)
-    return _fold(blocks, array("q")), records
+    return _fold(blocks), records
 
 
 def propagate_log(path: str) -> int:

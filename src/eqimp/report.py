@@ -1,9 +1,9 @@
 """Aggregate result records into a per-method summary table and a runtime
 histogram.
 
-Both summaries count decided records only (proven or refuted); unsolved
-records carry no method attribution and no meaningful solve time.  Each reads
-its records once, from any iterable, so a log can be folded in as it is read.
+Both summaries count decided records only (proven or refuted); an unsolved
+record, even one a crash attributes to its stage, decides nothing.  Each is
+one Counter over any iterable, so a log can be folded in as it is read.
 Rendering is a pure function of the input: same records, same bytes.
 """
 
@@ -12,7 +12,9 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .closure import PROVEN, REFUTED
 
@@ -68,42 +70,32 @@ class Histogram:
         return tuple(out)
 
 
-def _decided(records):
-    return (r for r in records if r.status in (PROVEN, REFUTED))
-
-
 def summarize(records, method_order=None) -> SummaryTable:
     """Per-method refuted/proven counts.  method_order (e.g. a schedule's
     stage names) fixes the leading rows, zero-count rows included; methods not
-    listed, such as closure derivations, follow in first-appearance order."""
-    counts: dict[str, list[int]] = {}
-    order: list[str] = []
-    for name in method_order or ():
-        counts[name] = [0, 0]
-        order.append(name)
-    for record in _decided(records):
-        if record.method not in counts:
-            counts[record.method] = [0, 0]
-            order.append(record.method)
-        counts[record.method][record.status == PROVEN] += 1
-    return SummaryTable(
-        tuple(SummaryRow(name, counts[name][0], counts[name][1]) for name in order)
-    )
+    listed, such as closure derivations, follow in the order of their first
+    decided record."""
+    counts = Counter(map(attrgetter("method", "status"), records))
+    decided = (method for method, status in counts if status in (PROVEN, REFUTED))
+    return SummaryTable(tuple(
+        SummaryRow(name, counts[name, REFUTED], counts[name, PROVEN])
+        for name in dict.fromkeys([*(method_order or ()), *decided])
+    ))
 
 
 def histogram(records) -> Histogram:
     """Bucket decided records by solve time over DEFAULT_EDGES, grouped by
     (method, status).  Records outside [first edge, last edge) land in the
     open end buckets."""
-    cells: dict[tuple[str, str], list[int]] = {}
-    width = len(DEFAULT_EDGES) + 1
-    for record in _decided(records):
-        bucket = bisect.bisect_right(DEFAULT_EDGES, record.seconds)
-        key = (record.method, record.status)
-        if key not in cells:
-            cells[key] = [0] * width
-        cells[key][bucket] += 1
-    return Histogram(DEFAULT_EDGES, {key: tuple(counts) for key, counts in cells.items()})
+    counts = Counter(
+        (record.method, record.status, bisect.bisect_right(DEFAULT_EDGES, record.seconds))
+        for record in records
+    )
+    buckets = range(len(DEFAULT_EDGES) + 1)
+    return Histogram(DEFAULT_EDGES, {
+        (method, status): tuple(counts[method, status, bucket] for bucket in buckets)
+        for method, status, _ in counts if status in (PROVEN, REFUTED)
+    })
 
 
 def _bucket_labels(edges) -> list[str]:

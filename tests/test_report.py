@@ -85,6 +85,30 @@ def test_summarize_respects_method_order_and_appends_closure_rows():
     assert table.rows[3] == SummaryRow("closure:R2", 1, 0)
 
 
+def test_unsolved_records_neither_order_nor_count_methods():
+    # an engine crash writes an unsolved record carrying its stage's name,
+    # here ahead of that method's first decided record; "fmb-60s" has
+    # unsolved records only
+    records = [
+        ResultRecord(1, 2, UNSOLVED, "satur-500i", 2, 0.3, "error:boom"),
+        _rec(1, 3, REFUTED, "fmb-500i", 0.05),
+        ResultRecord(1, 4, UNSOLVED, "fmb-60s", 3, 60.0, "error:boom"),
+        _rec(1, 5, PROVEN, "satur-500i", 0.2),
+        ResultRecord(1, 6, UNSOLVED, "fmb-60s", 3, 60.0, "error:boom"),
+    ]
+    assert summarize(records).rows == (
+        SummaryRow("fmb-500i", 1, 0), SummaryRow("satur-500i", 0, 1),
+    )
+    assert summarize(records, method_order=["satur-500i", "fmb-60s"]).rows == (
+        SummaryRow("satur-500i", 0, 1), SummaryRow("fmb-60s", 0, 0), SummaryRow("fmb-500i", 1, 0),
+    )
+    hist = histogram(records)
+    assert hist.cells == {
+        ("fmb-500i", REFUTED): (0, 0, 0, 1, 0, 0, 0, 0, 0),
+        ("satur-500i", PROVEN): (0, 0, 0, 0, 1, 0, 0, 0, 0),
+    }
+
+
 def test_summary_row_shape_matches_published_scale():
     # the famous first row: row total is the sum of its refuted/proven counts
     row = SummaryRow("fmb-500i", 13_837_151, 275_209)

@@ -1565,6 +1565,25 @@ def _block_cases():
         "leading-space": ('{"lhs"', ' {"lhs"'),
         "leading-letter": ('{"lhs"', 'x{"lhs"'),
     }
+
+    def lines(*pairs):
+        # writer lines, decided by method "p" or "q" or unsolved
+        return "".join(
+            runner._record_line(
+                ResultRecord(lhs, rhs, status, method, None if method is None else 2, 0.5, None)
+            )
+            for lhs, rhs, status, method in pairs
+        )
+
+    # lhs runs interleaving within a block: 70, 71, then 70 again (whose
+    # second run repeats a pair of its first in the duplicate case)
+    interleaved = [(70, 71, PROVEN, "p"), (70, 72, REFUTED, "q"), (71, 70, PROVEN, "p"),
+                   (70, 73, PROVEN, "p"), (70, 74, UNSOLVED, None)]
+    # decided and unsolved lines of one lhs alternating, over two entries
+    alternating = [
+        (75, rhs, *((PROVEN, "p"), (UNSOLVED, None), (REFUTED, "q"), (UNSOLVED, None))[rhs % 4])
+        for rhs in range(76, 90)
+    ]
     return [
         ("writer", "".join(writer)),
         ("respaced", "".join(respaced)),
@@ -1581,16 +1600,32 @@ def _block_cases():
             (name, "".join(closable[:30]) + edge.replace(*edit) + "".join(closable[30:]))
             for name, edit in edges.items()
         ),
+        # alone, so that a block of 1 KiB or more holds all their lines
+        ("interleaved", lines(*interleaved)),
+        ("interleaved-duplicate", lines(*interleaved, (70, 72, PROVEN, "p"))),
+        ("alternating", lines(*alternating)),
     ]
+
+
+def _status_items(read):
+    """The items of read()'s status map, in order, or its ValueError's text."""
+    try:
+        return list(read()[0].items())
+    except ValueError as err:
+        return str(err)
 
 
 def _rows_and_closure(path, text):
     """What iter_rows reads from the log with and without drop_torn_tail,
-    and the count and bytes propagate_log leaves, or each one's error."""
+    load_results' status map, and the count and bytes propagate_log
+    leaves, or each one's error."""
     outcome = []
     for torn in (False, True):
         pathlib.Path(path).write_bytes(text.encode("utf-8"))
         outcome.append(_read(lambda: iter_rows(path, drop_torn_tail=torn)))
+        outcome.append(
+            _status_items(lambda: load_results(path, drop_torn_tail=torn, keep_records=False))
+        )
     try:
         outcome.append((propagate_log(path), pathlib.Path(path).read_bytes()))
     except ValueError as err:
@@ -1621,20 +1656,28 @@ def test_blocks_read_as_lines_do(tmp_path, monkeypatch, name, text, block_chars)
     # one line a block: every line in the writer's form is read as a block
     assert any(read) or block_chars > 64
     readable = name in (
-        "writer", "respaced", "closable", "long-line", "raw-line-breaks", "leading-space"
+        "writer", "respaced", "closable", "long-line", "raw-line-breaks", "leading-space",
+        "interleaved", "alternating",
     )
     assert (type(blocks[0]) is list) == readable
     if readable:  # as json.loads reads each line the file iterates
         oracle = tmp_path / "oracle.jsonl"
         oracle.write_bytes(text.encode("utf-8"))
         with open(oracle, encoding="utf-8") as handle:
-            assert blocks[0] == _typed(
-                log.Row(**json.loads(line)) for line in handle if not line.isspace()
-            )
+            rows = [log.Row(**json.loads(line)) for line in handle if not line.isspace()]
+        assert blocks[0] == _typed(rows)
+        # entries in order of first appearance, each one's pairs sorted
+        entries = {}
+        for row in rows:
+            if row.status != UNSOLVED:
+                entries.setdefault((row.status, row.method), []).append(row[:2])
+        assert blocks[1] == [
+            (pair, StatusEntry(*key)) for key, pairs in entries.items() for pair in sorted(pairs)
+        ]
     monkeypatch.setattr("eqimp.log._columns", lambda *args: None)
     assert blocks == _rows_and_closure(path, text)
     if name == "closable":
-        assert type(blocks[2]) is tuple and blocks[2][0] > 0
+        assert type(blocks[4]) is tuple and blocks[4][0] > 0
 
 
 def test_propagate_log_writes_json_dumps_lines(tmp_path):
